@@ -86,13 +86,13 @@ run_tsan() {
     ./build-tsan/tests/tdp_scale_tests
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tdp_chaos_scale_tests
-  # The PR 10 front door: admission under the leaf lock (client caller
-  # thread vs the server I/O thread for the kBusy/retry loop), the brownout
-  # state machine driven from publish_health, and the storm chaos tier's
-  # shed/recover cycle across a concurrent schedd kill.
+  # The front door: the retry backoff helper, admission under the
+  # leaf lock, the brownout state machine driven from publish_health, and
+  # the storm chaos tier's shed/recover cycle across a concurrent schedd
+  # kill.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tdp_attr_tests \
-    --gtest_filter='AdmissionEndToEnd.*:BackoffDelay.*'
+    --gtest_filter='BackoffDelay.*'
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tdp_condor_tests \
     --gtest_filter='FrontDoor*:Wrr*:ScheddFrontDoor*:MatchmakerIndex*'

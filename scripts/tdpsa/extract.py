@@ -356,11 +356,20 @@ class FileWalker:
                         kind=t.text, member=member, canonical=canonical,
                         owner=owner, file=self.rel, line=nxt.line)
                     return
+        # A default member initializer ("x_ = make()") is not a parameter
+        # list: only paren groups before the top-level '=' make this a
+        # function declaration.
+        eq_at = next((start + k for k, t in enumerate(head)
+                      if t.text == "=" and
+                      (k == 0 or head[k - 1].text != "operator") and
+                      not any(g[0] < start + k < g[1] for g in groups)),
+                     None)
         # Method declaration with annotations (no body): record for the
         # out-of-line definition to pick up.
         param = next((g for g in reversed(groups)
                       if not g[3] and not g[4] and g[2] and
-                      g[2] not in KEYWORDS and g[2] not in TYPE_NOISE), None)
+                      g[2] not in KEYWORDS and g[2] not in TYPE_NOISE and
+                      (eq_at is None or g[0] < eq_at)), None)
         if param is not None and (annots["requires"] or annots["acquire"] or
                                   annots["excludes"]):
             name = param[2]

@@ -150,6 +150,29 @@ struct S {
 };
 """
 
+GOOD_INITIALIZED_MEMBER_CALL = """\
+#include "util/sync.hpp"
+#include <memory>
+struct Recorder {
+  static std::shared_ptr<Recorder> off();
+  void note() {}
+};
+struct Pump {
+  void note() { std::this_thread::sleep_for(std::chrono::milliseconds(1)); }
+};
+class Daemon {
+ public:
+  void step() {
+    LockGuard lock(mutex_);
+    recorder_->note();
+  }
+ private:
+  std::shared_ptr<Recorder> recorder_ = Recorder::off();
+
+  mutable Mutex mutex_{"Daemon::mutex_"};
+};
+"""
+
 INLINE_CASES = [
     # (name, files, rules expected nonempty — [] means "must be clean")
     ("raw std::mutex", {"src/bad.cpp": BAD_RAW_MUTEX}, ["raw-sync"]),
@@ -179,6 +202,10 @@ INLINE_CASES = [
     ("clock read in util/clock.hpp", {"src/util/clock.hpp": BAD_CLOCK_READ},
      []),
     ("clean file", {"src/good.hpp": GOOD_FILE}, []),
+    # A call in a default member initializer must not hide the member's
+    # type: recorder_->note() resolves to Recorder::note, not Pump::note.
+    ("member initialized by a call",
+     {"src/daemon.hpp": GOOD_INITIALIZED_MEMBER_CALL}, []),
 ]
 
 

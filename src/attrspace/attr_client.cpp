@@ -37,12 +37,6 @@ telemetry::Counter& reconnects_counter() {
   return c;
 }
 
-telemetry::Counter& busy_counter() {
-  static telemetry::Counter& c =
-      telemetry::Registry::instance().counter("attrclient.busy_replies");
-  return c;
-}
-
 // Round-trip latency, sampled only for traced calls (a span active on the
 // calling thread); the untraced hot path pays one counter add.
 telemetry::Histogram& call_histogram() {
@@ -73,25 +67,12 @@ void adopt_reply_trace(const Message& reply) {
 Status status_from_reply(const Message& reply) {
   const std::string status = reply.get(field::kStatus);
   if (status == "ok") return Status::ok();
-  if (status == "busy") {
-    // Backpressure, not failure: the server shed the request and computed
-    // how long we should stay away. Encode the hint in the message so a
-    // caller that does not retry in-library can still honor it.
-    return make_error(ErrorCode::kBusy,
-                      "server busy; " + std::string(field::kRetryAfterMs) +
-                          "=" + reply.get(field::kRetryAfterMs, "0"));
-  }
   const std::string error = reply.get(field::kError, "unknown server error");
   // Preserve NOT_FOUND so callers can distinguish absence from failure.
   ErrorCode code = error.find("NOT_FOUND") != std::string::npos
                        ? ErrorCode::kNotFound
                        : ErrorCode::kInternal;
   return make_error(code, error);
-}
-
-/// True when the reply is a served-but-shed backpressure answer.
-bool reply_is_busy(const Message& reply) {
-  return reply.get(field::kStatus) == "busy";
 }
 
 /// Distinct per client instance in this process; combined with a counter
@@ -513,44 +494,10 @@ Status AttrClient::subscribe(const std::string& pattern, NotifyCallback callback
 Result<Message> AttrClient::call(Message request, int timeout_ms) {
   calls_counter().inc();
   const bool traced = telemetry::current_context().valid();
-  const Clock& wall = RealClock::instance();
   const Micros start = traced ? telemetry::Tracer::instance().now() : 0;
-  const bool has_deadline = timeout_ms >= 0;
-  const Micros deadline =
-      wall.now_micros() + static_cast<Micros>(timeout_ms) * 1000;
-  Result<Message> result =
-      make_error(ErrorCode::kInternal, "call not attempted");
-  for (int busy_attempt = 1;; ++busy_attempt) {
-    int delay_ms = 0;
-    {
-      LockGuard lock(mutex_);
-      int remaining_ms = timeout_ms;
-      if (has_deadline) {
-        remaining_ms = static_cast<int>(
-            std::max<Micros>(0, deadline - wall.now_micros()) / 1000);
-      }
-      result = call_locked(request, remaining_ms);
-      if (!result.is_ok() || !reply_is_busy(result.value())) break;
-      busy_counter().inc();
-      const int hint_ms =
-          static_cast<int>(result->get_int(field::kRetryAfterMs, 0));
-      if (!retry_.enabled || !retry_.honor_retry_after ||
-          busy_attempt > retry_.max_reconnects ||
-          (has_deadline && wall.now_micros() >= deadline)) {
-        break;  // surface the busy reply; status_from_reply maps it to kBusy
-      }
-      delay_ms = backoff_delay_ms(retry_, busy_attempt, hint_ms, backoff_rng_);
-      if (has_deadline) {
-        delay_ms = static_cast<int>(std::min<Micros>(
-            delay_ms, std::max<Micros>(0, deadline - wall.now_micros()) / 1000));
-      }
-    }
-    // Wait out the server's retry-after hint OUTSIDE the client lock: other
-    // threads keep using the client, and blocking stays off the lock graph.
-    if (delay_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-    }
-  }
+  UniqueLock lock(mutex_);
+  Result<Message> result = call_locked(std::move(request), timeout_ms);
+  lock.unlock();
   if (traced) {
     call_histogram().record(static_cast<std::uint64_t>(
         std::max<Micros>(0, telemetry::Tracer::instance().now() - start)));

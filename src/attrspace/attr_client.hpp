@@ -67,14 +67,10 @@ struct RetryPolicy {
   int attempt_timeout_ms = 1000;  ///< reply wait before an idempotent replay
   int base_backoff_ms = 5;        ///< first backoff; doubles per attempt
   int max_backoff_ms = 200;       ///< backoff ceiling
-  /// Honor a server's status="busy" retry-after hint by waiting it out
-  /// (plus jitter) and retrying, up to max_reconnects attempts. Off: the
-  /// busy reply surfaces immediately as ErrorCode::kBusy.
-  bool honor_retry_after = true;
 };
 
 /// Backoff before retry `attempt` (1-based). With a positive server hint
-/// (a busy reply's retry_after_ms) the delay is the hint plus up to half
+/// (a kBusy refusal's retry_after_ms) the delay is the hint plus up to half
 /// the hint again of jitter — the server paces the herd, the jitter
 /// desynchronizes it. Without a hint: exponential from base_backoff_ms,
 /// doubling per attempt with the exponent clamped so a huge attempt count
@@ -83,8 +79,9 @@ struct RetryPolicy {
 int backoff_delay_ms(const RetryPolicy& policy, int attempt, int server_hint_ms,
                      Rng& jitter);
 
-/// Parses the retry-after hint out of a kBusy Status produced by
-/// status_from_reply (message carries "retry_after_ms=<n>"); 0 if absent.
+/// Parses the retry-after hint out of a kBusy Status, such as a front-door
+/// refusal from Schedd::try_submit (message carries "retry_after_ms=<n>");
+/// 0 if absent.
 int retry_after_hint_ms(const Status& status);
 
 class AttrClient {

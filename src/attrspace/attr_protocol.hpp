@@ -31,9 +31,10 @@ inline constexpr const char* kValPrefix = "v";
 /// Client-unique id on a kAttrPutBatch; the server remembers recent ids and
 /// acks a replayed batch without applying it twice (retry idempotency).
 inline constexpr const char* kBatchId = "bid";
-/// Server-computed backpressure hint on a status="busy" reply: how long the
-/// client should wait (milliseconds) before retrying the request. The
-/// client adds jitter on top so a herd of hinted clients desynchronizes.
+/// Backpressure hint a kBusy refusal carries in its status message as
+/// "retry_after_ms=<n>": how long the caller should wait (milliseconds)
+/// before retrying. backoff_delay_ms adds jitter on top so a herd of
+/// hinted callers desynchronizes.
 inline constexpr const char* kRetryAfterMs = "retry_after_ms";
 }  // namespace field
 

@@ -68,7 +68,7 @@ Result<std::string> AttrServer::start(const std::string& listen_address) {
     }
   });
   log::Logger(name_).info("attribute space server on ", address_);
-  if (recorder_) recorder_->state("start", "address=" + address_);
+  recorder_->state("start", "address=" + address_);
   return address_;
 }
 
@@ -90,7 +90,7 @@ void AttrServer::stop() {
     reactor_.remove(listener_->readable_fd());
     listener_->close();
   }
-  if (recorder_) recorder_->state("stop", "");
+  recorder_->state("stop", "");
 }
 
 void AttrServer::on_acceptable() {
@@ -112,7 +112,7 @@ void AttrServer::on_acceptable() {
       LockGuard lock(conns_mutex_);
       conns_.emplace(fd, conn);
     }
-    if (recorder_) recorder_->state("accept", "fd=" + std::to_string(fd));
+    recorder_->state("accept", "fd=" + std::to_string(fd));
     reactor_.add_readable(fd, [this, fd] { on_readable(fd); });
   }
 }
@@ -169,35 +169,6 @@ bool AttrServer::remember_batch(const std::string& batch_id) {
   return true;
 }
 
-int AttrServer::admit_write() {
-  if (!admission_.enabled) return 0;
-  // Same lock-free discipline as the batch window: only the I/O thread
-  // touches the bucket, so admission adds zero lock traffic to the hot path.
-  assert_io_thread();
-  const Micros now = admission_.clock->now_micros();
-  if (admission_refill_at_ == 0) admission_refill_at_ = now;
-  if (now > admission_refill_at_) {
-    const double elapsed_s =
-        static_cast<double>(now - admission_refill_at_) / 1e6;
-    admission_tokens_ = std::min(admission_.burst,
-                                 admission_tokens_ +
-                                     elapsed_s * admission_.puts_per_sec);
-    admission_refill_at_ = now;
-  }
-  if (admission_tokens_ >= 1.0) {
-    admission_tokens_ -= 1.0;
-    return 0;
-  }
-  busy_replies_.fetch_add(1, std::memory_order_relaxed);
-  // Hint = time until one whole token refills at the sustained rate. The
-  // hint paces the herd; the client layers jitter on top of it.
-  const double deficit = 1.0 - admission_tokens_;
-  const double rate =
-      admission_.puts_per_sec > 0.0 ? admission_.puts_per_sec : 1.0;
-  const int hint_ms = static_cast<int>(deficit * 1000.0 / rate) + 1;
-  return std::max(admission_.min_retry_after_ms, hint_ms);
-}
-
 void AttrServer::teardown(Connection& conn) {
   // Cancel this client's watchers so their callbacks never touch a dead
   // endpoint, then treat unclosed inits as implicit tdp_exit (the daemon
@@ -211,10 +182,8 @@ void AttrServer::teardown(Connection& conn) {
     }
   }
   conn.endpoint->close();
-  if (recorder_) {
-    recorder_->state("teardown",
-                     "contexts=" + std::to_string(conn.opened_contexts.size()));
-  }
+  recorder_->state("teardown",
+                   "contexts=" + std::to_string(conn.opened_contexts.size()));
 }
 
 void AttrServer::handle_message(const MessageView& msg, Connection& conn) {
@@ -280,14 +249,6 @@ void AttrServer::handle_message(const MessageView& msg, Connection& conn) {
     }
 
     case MsgType::kAttrPut: {
-      if (const int retry_after_ms = admit_write(); retry_after_ms > 0) {
-        Message reply(MsgType::kAttrPutReply);
-        reply.set_seq(seq);
-        reply.set(field::kStatus, "busy");
-        reply.set_int(field::kRetryAfterMs, retry_after_ms);
-        endpoint->send(std::move(reply));
-        break;
-      }
       Status status = store_.put(context, msg.get(field::kAttribute),
                                  std::string(msg.get(field::kValue)),
                                  std::string(trace_header));
@@ -296,14 +257,6 @@ void AttrServer::handle_message(const MessageView& msg, Connection& conn) {
     }
 
     case MsgType::kAttrPutBatch: {
-      if (const int retry_after_ms = admit_write(); retry_after_ms > 0) {
-        Message reply(MsgType::kAttrPutReply);
-        reply.set_seq(seq);
-        reply.set(field::kStatus, "busy");
-        reply.set_int(field::kRetryAfterMs, retry_after_ms);
-        endpoint->send(std::move(reply));
-        break;
-      }
       // A batch id already in the recent window means the ack was lost and
       // the client replayed: acknowledge without applying again.
       const std::string batch_id(msg.get(field::kBatchId));

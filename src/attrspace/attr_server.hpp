@@ -87,34 +87,6 @@ class AttrServer {
     recorder_ = std::move(recorder);
   }
 
-  // --- write admission (PR 10 front door) ---
-
-  /// Token-bucket admission over writes (kAttrPut / kAttrPutBatch). An
-  /// over-rate request is answered status="busy" with a server-computed
-  /// retry_after_ms hint instead of being applied — explicit backpressure
-  /// in place of unbounded queueing. Reads are never shed (a monitoring
-  /// get must keep working exactly when the server is overloaded).
-  struct AdmissionConfig {
-    bool enabled = false;
-    double puts_per_sec = 1000.0;  ///< sustained refill rate
-    double burst = 100.0;          ///< bucket capacity (tokens)
-    int min_retry_after_ms = 1;    ///< hint floor
-    /// Clock tokens refill against (virtual in sim/chaos runs).
-    const Clock* clock = &RealClock::instance();
-  };
-
-  /// Installs the write-admission policy. Call before start(): the bucket
-  /// state lives on the I/O thread, like the batch-dedup window.
-  void set_admission(AdmissionConfig admission) {
-    admission_ = admission;
-    admission_tokens_ = admission.burst;
-  }
-
-  /// Writes answered with status="busy" so far.
-  [[nodiscard]] std::size_t busy_replies() const {
-    return busy_replies_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// Per-connection state, owned by the I/O thread (created on accept,
   /// destroyed on disconnect or stop()).
@@ -140,10 +112,6 @@ class AttrServer {
   void on_acceptable();
   void on_readable(int fd);
   void handle_message(const net::MessageView& msg, Connection& conn);
-  /// Refills the admission bucket and takes one token. Returns 0 when the
-  /// write is admitted, else the retry-after hint (ms) for the busy reply.
-  /// I/O thread only, like the batch window: no lock.
-  int admit_write();
   /// Cancels watchers, applies implicit exits, closes the endpoint.
   void teardown(Connection& conn);
 
@@ -171,14 +139,8 @@ class AttrServer {
   std::deque<std::string> recent_batch_order_;
   static constexpr std::size_t kBatchWindow = 1024;
 
-  /// Write-admission bucket; set before start(), refilled/spent only on
-  /// the I/O thread.
-  AdmissionConfig admission_;
-  double admission_tokens_ = 0.0;
-  Micros admission_refill_at_ = 0;
-  std::atomic<std::size_t> busy_replies_{0};
-
-  std::shared_ptr<flightrec::Recorder> recorder_;
+  std::shared_ptr<flightrec::Recorder> recorder_ =
+      flightrec::Recorder::disabled();
 
   /// The I/O thread mutates the connection table, stop() (any thread)
   /// drains it.

@@ -1,5 +1,7 @@
 #include "condor/file_transfer.hpp"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <system_error>
@@ -64,10 +66,12 @@ Result<std::vector<std::string>> FileTransfer::stage_out(
 
 Result<std::string> FileTransfer::make_scratch_dir(const std::string& base,
                                                    const std::string& tag) {
+  // The counter is per process; the pid keeps starters in different
+  // processes that share one scratch base out of each other's directories.
   static std::atomic<std::uint64_t> counter{0};
   std::error_code ec;
   fs::path dir = fs::path(base) /
-                 ("tdp-scratch-" + tag + "-" +
+                 ("tdp-scratch-" + tag + "-" + std::to_string(::getpid()) + "-" +
                   std::to_string(counter.fetch_add(1, std::memory_order_relaxed)));
   fs::create_directories(dir, ec);
   if (ec) {

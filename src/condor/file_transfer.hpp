@@ -28,7 +28,8 @@ class FileTransfer {
       const std::string& from_dir, const std::vector<std::string>& filenames,
       const std::string& to_dir);
 
-  /// Creates a fresh scratch directory under `base` with a unique suffix.
+  /// Creates a fresh scratch directory under `base`, named
+  /// tdp-scratch-<tag>-<pid>-<counter> so it is unique across processes.
   static Result<std::string> make_scratch_dir(const std::string& base,
                                               const std::string& tag);
 

@@ -122,7 +122,7 @@ std::vector<std::string> Master::tick() {
       circuit_counter.inc();
       kLog.error("daemon '", item.name, "' exhausted its restart budget; ",
                  "circuit breaker open (reset() or a live probe closes it)");
-      if (recorder_) recorder_->state("circuit-open", "daemon=" + item.name);
+      recorder_->state("circuit-open", "daemon=" + item.name);
       continue;
     }
     if (!attempt) continue;  // dead, but inside its backoff window
@@ -152,10 +152,8 @@ std::vector<std::string> Master::tick() {
         failed_counter.inc();
       }
     }
-    if (recorder_) {
-      recorder_->state(ok ? "restart" : "restart-failed",
-                       "daemon=" + item.name);
-    }
+    recorder_->state(ok ? "restart" : "restart-failed",
+                     "daemon=" + item.name);
   }
   return restarted;
 }

@@ -116,7 +116,8 @@ class Master {
   Rng jitter_ TDP_GUARDED_BY(mutex_);
 
   std::atomic<const Clock*> clock_{&RealClock::instance()};
-  std::shared_ptr<flightrec::Recorder> recorder_;
+  std::shared_ptr<flightrec::Recorder> recorder_ =
+      flightrec::Recorder::disabled();
 };
 
 }  // namespace tdp::condor

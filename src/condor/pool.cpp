@@ -25,19 +25,17 @@ std::string expand_pattern(const std::string& pattern, const std::string& machin
 Pool::Pool(PoolConfig config) : config_(std::move(config)) {
   master_.set_policy(config_.restart_policy);
   master_.set_clock(config_.clock);
-  if (config_.enable_flightrec) {
-    schedd_.set_recorder(recorder("schedd", "central"));
-    master_.set_recorder(recorder("master", "central"));
-    recorder("pool", "central")->state("start", "");
-    if (config_.cass_store != nullptr) {
-      // The operator's capsule trigger: a put on
-      // tdp.control.blackbox.<role>.<host> (context "cass") answers with a
-      // dump. The callback fires outside the store's shard locks.
-      control_subscription_ = config_.cass_store->subscribe(
-          "cass", std::string(flightrec::kControlPrefix) + "*",
-          [this](const std::string& /*context*/, const std::string& attribute,
-                 const std::string& value) { on_control_poke(attribute, value); });
-    }
+  schedd_.set_recorder(recorder("schedd", "central"));
+  master_.set_recorder(recorder("master", "central"));
+  recorder("pool", "central")->state("start", "");
+  if (config_.cass_store != nullptr && !config_.capsule_dir.empty()) {
+    // The operator's capsule trigger: a put on
+    // tdp.control.blackbox.<role>.<host> (context "cass") answers with a
+    // dump. The callback fires outside the store's shard locks.
+    control_subscription_ = config_.cass_store->subscribe(
+        "cass", std::string(flightrec::kControlPrefix) + "*",
+        [this](const std::string& /*context*/, const std::string& attribute,
+               const std::string& value) { on_control_poke(attribute, value); });
   }
   if (config_.schedd_journal != nullptr) {
     schedd_.set_journal(config_.schedd_journal);
@@ -48,9 +46,7 @@ Pool::Pool(PoolConfig config) : config_(std::move(config)) {
     master_.supervise(
         "schedd", [this] { return !schedd_.crashed(); },
         [this] {
-          if (config_.enable_flightrec && !config_.capsule_dir.empty()) {
-            (void)dump_capsule("schedd", "central", "crash-detected");
-          }
+          (void)dump_capsule("schedd", "central", "crash-detected");
           return schedd_.recover().is_ok();
         });
   }
@@ -91,11 +87,9 @@ Startd& Pool::add_machine(const std::string& name, classads::ClassAd ad) {
       raw->set_journal(claim_journal);
     }
   }
-  if (config_.enable_flightrec) {
-    auto rec = recorder("startd", name);
-    raw->set_recorder(rec);
-    rec->state("start", "");
-  }
+  auto rec = recorder("startd", name);
+  raw->set_recorder(rec);
+  rec->state("start", "");
   startds_[name] = std::move(startd);
   matchmaker_.advertise_machine(name, raw->ad());
   if (config_.backend_factory) {
@@ -222,15 +216,13 @@ int Pool::negotiate() {
     starter_config.tool_lease = config_.tool_lease;
     starter_config.tool_restart_budget = config_.tool_restart_budget;
     starter_config.lease_clock = config_.clock;
-    if (config_.enable_flightrec) {
-      starter_config.recorder = recorder("starter", match.machine);
-      starter_config.capsule_dir = config_.capsule_dir;
-      if (config_.tool_lease_enabled) {
-        // The tool daemon's ring: launchers that run the tool in-process
-        // (chaos tests) share this same ring via Pool::recorder, so the
-        // starter can dump the victim's capsule on lease expiry.
-        starter_config.tool_recorder = recorder("paradynd", match.machine);
-      }
+    starter_config.recorder = recorder("starter", match.machine);
+    starter_config.capsule_dir = config_.capsule_dir;
+    if (config_.tool_lease_enabled) {
+      // The tool daemon's ring: launchers that run the tool in-process
+      // (chaos tests) share this same ring via Pool::recorder, so the
+      // starter can dump the victim's capsule on lease expiry.
+      starter_config.tool_recorder = recorder("paradynd", match.machine);
     }
     if (!config_.lass_listen_pattern.empty()) {
       starter_config.lass_listen_address =
@@ -324,9 +316,7 @@ Status Pool::kill_startd(const std::string& name) {
     return make_error(ErrorCode::kNotFound, "no such machine: " + name);
   }
   kLog.warn("startd@", name, " killed: no checkpoint, no goodbye");
-  if (config_.enable_flightrec) {
-    recorder("pool", "central")->state("kill", "startd@" + name);
-  }
+  recorder("pool", "central")->state("kill", "startd@" + name);
   matchmaker_.withdraw_machine(name);
   startd_beats_.erase(name);   // heartbeats stop; the lease will expire
   dead_startds_.insert(name);  // the master's probe now sees the death
@@ -340,9 +330,7 @@ Status Pool::kill_startd(const std::string& name) {
 
 void Pool::kill_schedd() {
   kLog.warn("schedd killed: its shadows die with it");
-  if (config_.enable_flightrec) {
-    recorder("pool", "central")->state("kill", "schedd");
-  }
+  recorder("pool", "central")->state("kill", "schedd");
   // Starters report into Shadow* sinks the schedd owns. In real Condor a
   // starter whose shadow vanishes kills its job; model that by retiring
   // busy machines first so no starter is left holding a dangling sink.
@@ -362,14 +350,12 @@ bool Pool::revive_startd(const std::string& name) {
   if (ad_it == machine_ads_.end()) return false;
   // The master noticing the death is a dump trigger: capture the dead
   // incarnation's last-known ring before the new one records over it.
-  if (config_.enable_flightrec && !config_.capsule_dir.empty()) {
-    (void)dump_capsule("startd", name, "death-detected");
-  }
+  (void)dump_capsule("startd", name, "death-detected");
   auto startd = std::make_unique<Startd>(name, ad_it->second);
   Startd* raw = startd.get();
   // The revived daemon shares the killed one's ring (like its claim
   // journal): one machine, one black box, across incarnations.
-  if (config_.enable_flightrec) raw->set_recorder(recorder("startd", name));
+  raw->set_recorder(recorder("startd", name));
   std::optional<JobId> orphan;
   auto journal_it = startd_journals_.find(name);
   if (journal_it != startd_journals_.end()) {
@@ -387,9 +373,7 @@ bool Pool::revive_startd(const std::string& name) {
   if (orphan.has_value()) requeue_orphan(*orphan, name);
   matchmaker_.advertise_machine(name, raw->ad());
   if (config_.enable_liveness) start_beats(name);
-  if (config_.enable_flightrec) {
-    recorder("pool", "central")->state("revive", "startd@" + name);
-  }
+  recorder("pool", "central")->state("revive", "startd@" + name);
   kLog.info("startd@", name, " revived from claim journal");
   return true;
 }
@@ -424,12 +408,11 @@ void Pool::start_beats(const std::string& name) {
   // Each beat also lands in the startd's own black box: after a kill, the
   // victim's capsule ends with its last beat, which the merged timeline
   // orders against the pool's lease-expiry event.
-  std::shared_ptr<flightrec::Recorder> rec =
-      config_.enable_flightrec ? recorder("startd", name) : nullptr;
+  std::shared_ptr<flightrec::Recorder> rec = recorder("startd", name);
   auto beat = std::make_unique<lease::HeartbeatPublisher>(
       attribute, config_.startd_lease, config_.clock,
       [this, name, rec](const std::string& attr, const std::string& value) {
-        if (rec) rec->lease("beat", value);
+        rec->lease("beat", value);
         // Tree mode: the beat enters the overlay at this machine's leaf
         // (an interior aggregator holds the lease). Flat mode: it lands
         // on the central monitor directly — one root write per beat.
@@ -447,15 +430,11 @@ void Pool::start_beats(const std::string& name) {
 
 void Pool::on_machine_lease_expired(const std::string& machine) {
   kLog.warn("liveness lease expired for startd@", machine);
-  if (config_.enable_flightrec) {
-    // The detector's own record of the death, then the victim's black box:
-    // the lease monitor is the peer that still holds the dead daemon's
-    // last-known ring, so lease expiry is a capsule trigger.
-    recorder("pool", "central")->lease("expired", "startd@" + machine);
-    if (!config_.capsule_dir.empty()) {
-      (void)dump_capsule("startd", machine, "lease-expired");
-    }
-  }
+  // The detector's own record of the death, then the victim's black box:
+  // the lease monitor is the peer that still holds the dead daemon's
+  // last-known ring, so lease expiry is a capsule trigger.
+  recorder("pool", "central")->lease("expired", "startd@" + machine);
+  (void)dump_capsule("startd", machine, "lease-expired");
   matchmaker_.withdraw_machine(machine);
   for (JobId job : schedd_.jobs_on_machine(machine)) {
     requeue_orphan(job, machine);
@@ -510,7 +489,7 @@ void Pool::ensure_cass() {
           (void)config_.cass_store->put("cass", attribute, value);
         });
   }
-  if (config_.enable_flightrec) cass_->set_recorder(recorder("cass", "tree"));
+  cass_->set_recorder(recorder("cass", "tree"));
   if (!config_.health_rules.empty()) {
     Status rules = cass_->set_health_rules(config_.health_rules);
     if (!rules.is_ok()) {
@@ -582,13 +561,12 @@ int Pool::publish_cass_rollup() {
 
 std::shared_ptr<flightrec::Recorder> Pool::recorder(const std::string& role,
                                                     const std::string& host) {
-  if (!config_.enable_flightrec) return nullptr;
+  if (config_.capsule_dir.empty()) return flightrec::Recorder::disabled();
   std::shared_ptr<flightrec::Recorder>& slot = recorders_[role + "." + host];
   if (!slot) {
     flightrec::Config rec;
     rec.role = role;
     rec.host = host;
-    rec.capacity = config_.flightrec_capacity;
     rec.clock = config_.clock;
     slot = std::make_shared<flightrec::Recorder>(std::move(rec));
   }
@@ -626,11 +604,9 @@ void Pool::on_control_poke(const std::string& attribute,
   const std::string role = target.substr(0, dot);
   const std::string host = target.substr(dot + 1);
   const std::string reason = value.empty() ? "operator" : value;
-  if (config_.enable_flightrec) {
-    recorder("pool", "central")
-        ->record(flightrec::EventKind::kControl, "poke",
-                 role + "." + host + " reason=" + reason);
-  }
+  recorder("pool", "central")
+      ->record(flightrec::EventKind::kControl, "poke",
+               role + "." + host + " reason=" + reason);
   Status dumped = dump_capsule(role, host, reason);
   if (!dumped.is_ok()) {
     kLog.warn("blackbox poke for ", role, ".", host,

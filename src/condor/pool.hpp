@@ -109,17 +109,14 @@ struct PoolConfig {
 
   // --- black-box flight recorder + health engine (PR 9) ---
 
-  /// Give every pool-side daemon (schedd, each startd, the pool itself,
-  /// the CASS tree) an always-on flight recorder ring. Off by default:
-  /// the seed pipeline records nothing.
-  bool enable_flightrec = false;
   /// Directory capsules are dumped into when a death is detected (master
   /// restart, lease expiry) or an operator pokes
   /// tdp.control.blackbox.<role>.<host> in cass_store (context "cass").
-  /// Empty = no automatic dumps; rings still record.
+  /// Set = every pool-side daemon (schedd, master, each startd and
+  /// starter, the pool itself, the CASS tree) records into its own
+  /// flight recorder ring. Empty (the default) = nothing records: every
+  /// daemon holds the shared flightrec::Recorder::disabled().
   std::string capsule_dir;
-  /// Ring capacity (events) of each recorder.
-  std::size_t flightrec_capacity = 4096;
   /// Declarative RED-style rules (util/health.hpp grammar) evaluated per
   /// machine by publish_health(); folded through the CASS tree when
   /// hierarchical_cass is on, flat writes to cass_store otherwise.
@@ -254,7 +251,7 @@ class Pool {
   /// The flight recorder for a pool-side daemon, created on first use.
   /// Owned here, like claim journals: the ring outlives kill_startd /
   /// kill_schedd so the death-detector can dump the victim's capsule.
-  /// Null when enable_flightrec is off.
+  /// Without a capsule_dir: the shared disabled recorder, never null.
   std::shared_ptr<flightrec::Recorder> recorder(const std::string& role,
                                                 const std::string& host);
 

@@ -133,10 +133,8 @@ JobId Schedd::submit(const JobDescription& description) {
       span.context().valid() ? telemetry::format_context(span.context())
                              : std::string());
   lock.unlock();
-  if (recorder_) {
-    recorder_->state("submit", "job=" + std::to_string(id), span.context().trace_id,
-                     span.context().span_id);
-  }
+  recorder_->state("submit", "job=" + std::to_string(id), span.context().trace_id,
+                   span.context().span_id);
   return id;
 }
 
@@ -167,10 +165,8 @@ Result<JobId> Schedd::try_submit(const JobDescription& description) {
       span.context().valid() ? telemetry::format_context(span.context())
                              : std::string());
   lock.unlock();
-  if (recorder_) {
-    recorder_->state("submit", "job=" + std::to_string(id), span.context().trace_id,
-                     span.context().span_id);
-  }
+  recorder_->state("submit", "job=" + std::to_string(id), span.context().trace_id,
+                   span.context().span_id);
   return id;
 }
 
@@ -300,7 +296,7 @@ HealthTransition Schedd::on_health(health::Severity severity) {
       }
     }
   }
-  if (recorder_ && (transition.entered || transition.exited)) {
+  if (transition.entered || transition.exited) {
     recorder_->state("brownout",
                      std::string(brownout_state_name(transition.state)) +
                          " shed=" + std::to_string(newly_shed) +
@@ -403,10 +399,8 @@ Status Schedd::update_job(JobId id, JobStatus status, int exit_code,
     }
     journal_record_locked(it->second);
   }
-  if (recorder_) {
-    recorder_->state("job", "job=" + std::to_string(id) + " status=" +
-                                job_status_name(status));
-  }
+  recorder_->state("job", "job=" + std::to_string(id) + " status=" +
+                              job_status_name(status));
   return Status::ok();
 }
 
@@ -562,9 +556,7 @@ void Schedd::crash() {
   }
   // The recorder is the pool's, not the dead object's memory: like the
   // journal, it survives the crash and carries the last pre-death events.
-  if (recorder_) {
-    recorder_->state("crash", "jobs_dropped=" + std::to_string(dropped));
-  }
+  recorder_->state("crash", "jobs_dropped=" + std::to_string(dropped));
 }
 
 bool Schedd::crashed() const {
@@ -658,11 +650,9 @@ Status Schedd::recover() {
   kLog.info(name_, ": recovered ", recovered, " job(s) from journal, ",
             requeued, " requeued");
   telemetry::Registry::instance().counter("schedd.recoveries").inc();
-  if (recorder_) {
-    recorder_->replay("queue-journal", replay_stats);
-    recorder_->state("recover", "jobs=" + std::to_string(recovered) +
-                                    " requeued=" + std::to_string(requeued));
-  }
+  recorder_->replay("queue-journal", replay_stats);
+  recorder_->state("recover", "jobs=" + std::to_string(recovered) +
+                                  " requeued=" + std::to_string(requeued));
   return Status::ok();
 }
 

@@ -231,7 +231,8 @@ class Schedd {
   std::map<std::string, TenantLoad> tenant_load_ TDP_GUARDED_BY(mutex_);
   /// Set once at creation, before concurrent use; recorded into outside
   /// mutex_ (the recorder's shard lock stays a leaf).
-  std::shared_ptr<flightrec::Recorder> recorder_;
+  std::shared_ptr<flightrec::Recorder> recorder_ =
+      flightrec::Recorder::disabled();
 };
 
 }  // namespace tdp::condor

@@ -61,7 +61,7 @@ bool Startd::request_claim(JobId job, const classads::ClassAd& job_ad) {
     journal_claim_locked();
     granted = true;
   }
-  if (granted && recorder_) {
+  if (granted) {
     recorder_->state("claim", "job=" + std::to_string(job));
   }
   return granted;
@@ -78,7 +78,7 @@ void Startd::release_claim() {
       released = true;
     }
   }
-  if (released && recorder_) recorder_->state("release", "");
+  if (released) recorder_->state("release", "");
 }
 
 Result<Starter*> Startd::activate(JobRecord job, StarterConfig config,
@@ -103,9 +103,7 @@ Result<Starter*> Startd::activate(JobRecord job, StarterConfig config,
   state_ = State::kBusy;
   Starter* active = starter_.get();
   lock.unlock();
-  if (recorder_) {
-    recorder_->state("activate", "job=" + std::to_string(job_id));
-  }
+  recorder_->state("activate", "job=" + std::to_string(job_id));
   return active;
 }
 
@@ -116,7 +114,7 @@ void Startd::retire() {
   claimed_job_ = 0;
   journal_claim_locked();
   lock.unlock();
-  if (starter != nullptr && recorder_) recorder_->state("retire", "");
+  if (starter != nullptr) recorder_->state("retire", "");
   starter.reset();  // shutdown outside the lock
 }
 
@@ -189,12 +187,10 @@ Result<std::optional<JobId>> Startd::recover() {
     kLog.warn(name_, ": recovered with orphaned claim for job ", *orphan);
   }
   lock.unlock();
-  if (recorder_) {
-    recorder_->replay("claim-journal", replay_stats);
-    recorder_->state("recover", orphan.has_value()
-                                    ? "orphan=" + std::to_string(*orphan)
-                                    : "clean");
-  }
+  recorder_->replay("claim-journal", replay_stats);
+  recorder_->state("recover", orphan.has_value()
+                                  ? "orphan=" + std::to_string(*orphan)
+                                  : "clean");
   return orphan;
 }
 

@@ -89,7 +89,8 @@ class Startd {
   /// Set once at creation, before concurrent use; recorded into outside
   /// mutex_ so the recorder's shard lock stays a leaf with no edge from
   /// Startd::mutex_.
-  std::shared_ptr<flightrec::Recorder> recorder_;
+  std::shared_ptr<flightrec::Recorder> recorder_ =
+      flightrec::Recorder::disabled();
 };
 
 const char* startd_state_name(Startd::State state) noexcept;

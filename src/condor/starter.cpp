@@ -100,9 +100,7 @@ Status Starter::launch() {
   }
 
   job_.status = JobStatus::kRunning;
-  if (config_.recorder) {
-    config_.recorder->state("launch", "job=" + std::to_string(job_.id));
-  }
+  config_.recorder->state("launch", "job=" + std::to_string(job_.id));
   if (sink_ != nullptr) {
     sink_->on_job_status(job_.id, JobStatus::kRunning, -1, "starter launched job");
   }
@@ -536,10 +534,8 @@ void Starter::check_tool_leases() {
       tool_monitor_->forget(name);
       continue;
     }
-    if (config_.recorder) {
-      config_.recorder->lease("expired", "paradynd rank=" + std::to_string(rank));
-    }
-    if (config_.tool_recorder && !config_.capsule_dir.empty()) {
+    config_.recorder->lease("expired", "paradynd rank=" + std::to_string(rank));
+    if (!config_.capsule_dir.empty()) {
       // The starter detected the tool daemon's death and still holds its
       // last-known ring: dump the victim's black box before anything else
       // records over it.
@@ -565,11 +561,9 @@ void Starter::check_tool_leases() {
     }
     ++tool_restarts_[rank];
     telemetry::Registry::instance().counter("starter.tool_restarts").inc();
-    if (config_.recorder) {
-      config_.recorder->state("tool-relaunch",
-                              "rank=" + std::to_string(rank) + " attempt=" +
-                                  std::to_string(tool_restarts_[rank]));
-    }
+    config_.recorder->state("tool-relaunch",
+                            "rank=" + std::to_string(rank) + " attempt=" +
+                                std::to_string(tool_restarts_[rank]));
     // Forget before relaunch: the replacement's first beat re-tracks the
     // name with a fresh lease instead of inheriting the expired one.
     tool_monitor_->forget(name);

@@ -157,12 +157,14 @@ struct StarterConfig {
   // --- black-box flight recorder (PR 9) ---
 
   /// This starter's own flight recorder (role "starter"): launch, tool
-  /// lease expiries and relaunches land in it. Null = off.
-  std::shared_ptr<flightrec::Recorder> recorder;
+  /// lease expiries and relaunches land in it.
+  std::shared_ptr<flightrec::Recorder> recorder =
+      flightrec::Recorder::disabled();
   /// The tool daemon's ring, when the launcher shares one. The starter is
   /// the peer that detects a tool death (lease expiry), so it dumps this
   /// last-known ring as a capsule into capsule_dir at that moment.
-  std::shared_ptr<flightrec::Recorder> tool_recorder;
+  std::shared_ptr<flightrec::Recorder> tool_recorder =
+      flightrec::Recorder::disabled();
   /// Where tool capsules go; empty disables the dump.
   std::string capsule_dir;
 };

@@ -187,10 +187,8 @@ void HierarchicalCass::process_pending() {
       it->second->remove_child(host);
     }
     ++host_expiries_;
-    if (recorder_) {
-      recorder_->lease("expired", "host=" + host + " observer=" +
-                                      std::to_string(observer));
-    }
+    recorder_->lease("expired", "host=" + host + " observer=" +
+                                    std::to_string(observer));
     if (on_host_expired_) on_host_expired_(host);
   }
 
@@ -210,11 +208,9 @@ void HierarchicalCass::process_pending() {
       auto moved = overlay_.kill_node(dead);
       if (moved.is_ok()) {
         ++reparent_events_;
-        if (recorder_) {
-          recorder_->state("reparent",
-                           "dead=n" + std::to_string(dead) + " moved=" +
-                               std::to_string(moved.value().size()));
-        }
+        recorder_->state("reparent",
+                         "dead=n" + std::to_string(dead) + " moved=" +
+                             std::to_string(moved.value().size()));
         // Seed every promoted child at its new parent, fresh from NOW: the
         // membership-always-tracked invariant must survive re-parenting, or
         // a child that died during the blackout would vanish untracked. A
@@ -260,9 +256,7 @@ Status HierarchicalCass::kill_interior(int node) {
   if (aggregators_.erase(node) == 0) {
     return make_error(ErrorCode::kInvalidState, "node already dead");
   }
-  if (recorder_) {
-    recorder_->state("kill-interior", "node=n" + std::to_string(node));
-  }
+  recorder_->state("kill-interior", "node=n" + std::to_string(node));
   // The overlay edge stays until the node's summary lease expires at its
   // parent: death is DETECTED (lease), never announced.
   return Status::ok();

@@ -235,7 +235,8 @@ class HierarchicalCass {
   /// PR 9: the tree's flight recorder and the per-host health engines
   /// rollup_health drives (engines hold the rate windows, hence per host
   /// and not per observer node).
-  std::shared_ptr<flightrec::Recorder> recorder_;
+  std::shared_ptr<flightrec::Recorder> recorder_ =
+      flightrec::Recorder::disabled();
   std::vector<health::Rule> health_rules_;
   std::map<std::string, std::unique_ptr<health::Engine>> health_engines_;
   health::Severity last_health_fold_ = health::Severity::kOk;

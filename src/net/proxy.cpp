@@ -171,9 +171,7 @@ void ProxyServer::handle_connection_shared(std::shared_ptr<Endpoint> client) {
   }
   tunnels_.fetch_add(1, std::memory_order_relaxed);
   kLog.debug("tunnel opened: service=", service, " target=", target);
-  if (recorder_) {
-    recorder_->state("tunnel-open", "service=" + service + " target=" + target);
-  }
+  recorder_->state("tunnel-open", "service=" + service + " target=" + target);
   auto tunnel = std::make_shared<Tunnel>();
   tunnel->client = client;
   tunnel->target = target;
@@ -256,10 +254,8 @@ bool ProxyServer::relink(Tunnel& tunnel, std::uint64_t seen_generation) {
     relinks_.fetch_add(1, std::memory_order_relaxed);
     kLog.info("tunnel upstream relinked: target=", tunnel.target,
               " generation=", tunnel.generation);
-    if (recorder_) {
-      recorder_->state("relink", "target=" + tunnel.target + " generation=" +
-                                     std::to_string(tunnel.generation));
-    }
+    recorder_->state("relink", "target=" + tunnel.target + " generation=" +
+                                   std::to_string(tunnel.generation));
     return true;
   }
   tunnel.upstream.reset();

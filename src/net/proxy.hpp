@@ -165,7 +165,8 @@ class ProxyServer {
   /// Weak handles to endpoints so stop() can sever live tunnels; pruned
   /// opportunistically.
   std::vector<std::weak_ptr<Endpoint>> live_endpoints_ TDP_GUARDED_BY(mutex_);
-  std::shared_ptr<flightrec::Recorder> recorder_;
+  std::shared_ptr<flightrec::Recorder> recorder_ =
+      flightrec::Recorder::disabled();
 };
 
 /// Client-side helper implementing the Section 2.4 contract: TDP hands the

@@ -83,16 +83,14 @@ Status Paradynd::start() {
     heartbeat_ = std::make_unique<lease::HeartbeatPublisher>(
         lease::liveness_attr("paradynd", config_.pid_attribute), config_.liveness,
         config_.clock, [this](const std::string& attribute, const std::string& value) {
-          if (config_.recorder) config_.recorder->lease("beat", value);
+          config_.recorder->lease("beat", value);
           return session_->put(attribute, value);
         });
     heartbeat_->beat_now();
   }
 
   started_ = true;
-  if (config_.recorder) {
-    config_.recorder->state("start", "pid=" + std::to_string(app_pid_));
-  }
+  config_.recorder->state("start", "pid=" + std::to_string(app_pid_));
   return Status::ok();
 }
 
@@ -340,7 +338,7 @@ void Paradynd::abandon() {
   started_ = false;
   // The last entry in the victim's ring: everything after this silence is
   // the detector's story, not the daemon's.
-  if (config_.recorder) config_.recorder->state("abandon", "");
+  config_.recorder->state("abandon", "");
 }
 
 }  // namespace tdp::paradyn

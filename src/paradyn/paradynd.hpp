@@ -77,10 +77,11 @@ struct ParadyndConfig {
   /// Clock driving heartbeat pacing (tests inject a ManualClock).
   const Clock* clock = &RealClock::instance();
 
-  /// Optional black-box flight recorder (PR 9), shared with the launcher
-  /// so the ring survives abandon(): beats, startup and abandonment land
-  /// in it and the peer that detects the death dumps the capsule.
-  std::shared_ptr<flightrec::Recorder> recorder;
+  /// Black-box flight recorder, shared with the launcher so the
+  /// ring survives abandon(): beats, startup and abandonment land in it
+  /// and the peer that detects the death dumps the capsule.
+  std::shared_ptr<flightrec::Recorder> recorder =
+      flightrec::Recorder::disabled();
 };
 
 class Paradynd {

@@ -97,6 +97,17 @@ Recorder::Recorder(Config config) : config_(std::move(config)) {
   }
 }
 
+Recorder::Recorder() : enabled_(false) {
+  config_.capacity = 0;
+  config_.shards = 0;
+  config_.clock = &RealClock::instance();
+}
+
+std::shared_ptr<Recorder> Recorder::disabled() {
+  static const std::shared_ptr<Recorder> instance(new Recorder());
+  return instance;
+}
+
 Micros Recorder::now() const noexcept { return config_.clock->now_micros(); }
 
 void Recorder::record(EventKind kind, std::string what, std::string detail,
@@ -121,7 +132,7 @@ void Recorder::record(EventKind kind, std::string what, std::string detail,
 
 void Recorder::log_event(log::Level level, std::string_view component,
                          std::string_view message) {
-  if (level < config_.log_threshold) return;
+  if (!enabled() || level < config_.log_threshold) return;
   record(EventKind::kLog, std::string(component), std::string(message),
          /*trace_id=*/0, /*span_id=*/0,
          static_cast<std::uint8_t>(static_cast<int>(level)));
@@ -129,19 +140,23 @@ void Recorder::log_event(log::Level level, std::string_view component,
 
 void Recorder::state(std::string_view transition, std::string_view detail,
                      std::uint64_t trace_id, std::uint64_t span_id) {
+  if (!enabled()) return;
   record(EventKind::kState, std::string(transition), std::string(detail),
          trace_id, span_id);
 }
 
 void Recorder::fault(std::string_view kind, std::string_view detail) {
+  if (!enabled()) return;
   record(EventKind::kFault, std::string(kind), std::string(detail));
 }
 
 void Recorder::lease(std::string_view what, std::string_view detail) {
+  if (!enabled()) return;
   record(EventKind::kLease, std::string(what), std::string(detail));
 }
 
 void Recorder::span(const telemetry::SpanRecord& rec) {
+  if (!enabled()) return;
   std::string detail = "dur_us=" + std::to_string(rec.end_us - rec.start_us);
   if (rec.parent_id != 0) {
     detail += " parent=" + std::to_string(rec.parent_id);
@@ -152,6 +167,7 @@ void Recorder::span(const telemetry::SpanRecord& rec) {
 
 void Recorder::replay(std::string_view source,
                       const journal::ReplayStats& stats) {
+  if (!enabled()) return;
   std::ostringstream oss;
   oss << "records=" << stats.records << " blocks=" << stats.blocks
       << " resyncs=" << stats.resyncs << " bytes_skipped=" << stats.bytes_skipped
@@ -226,6 +242,9 @@ std::string Recorder::encode_capsule(std::string_view reason) const {
 }
 
 Status Recorder::dump(const std::string& path, std::string_view reason) {
+  if (shards_.empty()) {
+    return make_error(ErrorCode::kInvalidState, "flight recorder disabled");
+  }
   record(EventKind::kControl, "dump",
          std::string(reason) + " path=" + path);
   // Serialize (takes and releases shard locks), then write with no lock

@@ -128,6 +128,11 @@ class Recorder {
  public:
   explicit Recorder(Config config);
 
+  /// The one shared recorder a daemon holds while recording is off. It has
+  /// no ring: record() and the typed helpers return before building
+  /// anything, set_enabled() cannot turn it on, and dump() refuses.
+  static std::shared_ptr<Recorder> disabled();
+
   Recorder(const Recorder&) = delete;
   Recorder& operator=(const Recorder&) = delete;
 
@@ -139,9 +144,10 @@ class Recorder {
   }
 
   /// Master switch for the overhead bench; disabled record() returns
-  /// before touching the sequence counter.
+  /// before touching the sequence counter. A recorder without a ring
+  /// (disabled()) stays off.
   void set_enabled(bool enabled) noexcept {
-    enabled_.store(enabled, std::memory_order_relaxed);
+    enabled_.store(enabled && !shards_.empty(), std::memory_order_relaxed);
   }
   [[nodiscard]] bool enabled() const noexcept {
     return enabled_.load(std::memory_order_relaxed);
@@ -184,7 +190,7 @@ class Recorder {
 
   /// encode_capsule + atomic-ish file write (whole capsule in one stream).
   /// Records a kControl event ("dump", path) in the ring first so the
-  /// capsule itself shows why it exists.
+  /// capsule itself shows why it exists. kInvalidState without a ring.
   Status dump(const std::string& path, std::string_view reason);
 
   /// Events per capsule block: small enough that a torn tail costs a
@@ -197,6 +203,8 @@ class Recorder {
     std::vector<Event> ring TDP_GUARDED_BY(mutex);  ///< fixed size, wraps
     std::uint64_t written TDP_GUARDED_BY(mutex) = 0;
   };
+
+  Recorder();  ///< the ringless disabled() instance
 
   [[nodiscard]] Micros now() const noexcept;
 

@@ -86,64 +86,12 @@ Status decode_payload_lines(const std::string& payload,
   return Status::ok();
 }
 
-/// True when the file begins with the block sync marker ("TDPJ" on disk).
-/// Pre-PR-6 journals are plain text whose first bytes are a record type,
-/// so this distinguishes the formats in practice; an empty or missing file
-/// counts as block format (nothing written yet).
-bool file_is_block_format(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return true;
-  char magic[4] = {};
-  in.read(magic, sizeof magic);
-  if (in.gcount() == 0) return true;  // empty: new file, block format
-  if (in.gcount() < 4) return false;
-  const std::uint32_t value =
-      static_cast<std::uint32_t>(static_cast<std::uint8_t>(magic[0])) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(magic[1])) << 8) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(magic[2])) << 16) |
-      (static_cast<std::uint32_t>(static_cast<std::uint8_t>(magic[3])) << 24);
-  return value == blockio::kSyncMagic;
-}
-
 Result<std::string> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status(ErrorCode::kNotFound, "no such file: " + path);
   std::string contents((std::istreambuf_iterator<char>(in)),
                        std::istreambuf_iterator<char>());
   return contents;
-}
-
-/// Replays one pre-PR-6 plain-text stream. `strict` is the snapshot rule:
-/// corruption is fatal because snapshots are written atomically. Non-strict
-/// (the log) stops at the first bad line and drops the torn trailing one.
-Status replay_text_stream(const std::string& contents, bool strict,
-                          std::vector<Record>* out, std::size_t* count,
-                          ReplayStats* stats) {
-  std::size_t start = 0;
-  while (start < contents.size()) {
-    const std::size_t end = contents.find('\n', start);
-    if (end == std::string::npos) {
-      if (strict) {
-        return Status(ErrorCode::kInvalidArgument, "torn snapshot line");
-      }
-      stats->torn_tail = true;
-      stats->bytes_skipped += contents.size() - start;
-      break;  // torn trailing append: drop it
-    }
-    const std::string line = contents.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
-    auto record = decode_record(line);
-    if (!record.is_ok()) {
-      if (strict) return record.status();
-      ++stats->resyncs;  // corrupt log line ends the usable tail
-      stats->bytes_skipped += contents.size() - (start - line.size() - 1);
-      break;
-    }
-    out->push_back(std::move(record.value()));
-    ++*count;
-  }
-  return Status::ok();
 }
 
 /// Replays a block stream starting at `offset`. Snapshot rule (`strict`):
@@ -215,8 +163,7 @@ Result<std::unique_ptr<Journal>> Journal::open_file(const std::string& path) {
                   "journal parent directory missing: " + parent.string());
   }
   auto journal = std::unique_ptr<Journal>(new Journal(path));
-  // Recover the tail count (and the legacy-text flag) so the compaction
-  // trigger and append format survive reopen.
+  // Recover the tail count so the compaction trigger survives reopen.
   auto replayed = journal->replay();
   if (!replayed.is_ok()) return replayed.status();
   return journal;
@@ -228,12 +175,8 @@ Status Journal::append_payload_locked(const std::string& payload,
   if (!out) {
     return Status(ErrorCode::kInternal, "journal log open failed: " + path_);
   }
-  if (log_is_text_) {
-    out << payload;  // legacy file: keep appending lines, never mix formats
-  } else {
-    const std::string block = blockio::encode_block(payload);
-    out.write(block.data(), static_cast<std::streamsize>(block.size()));
-  }
+  const std::string block = blockio::encode_block(payload);
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
   out.flush();
   if (!out) {
     return Status(ErrorCode::kInternal, "journal log write failed: " + path_);
@@ -319,10 +262,8 @@ Status Journal::write_snapshot(const std::vector<Record>& records) {
     return Status(ErrorCode::kInternal, "snapshot rename failed: " + ec.message());
   }
   // The snapshot now owns all state; an empty log is correct even if the
-  // truncation below were to be lost. Truncation also retires a legacy
-  // text log: appends resume in block format.
+  // truncation below were to be lost.
   std::ofstream truncate(path_ + ".log", std::ios::trunc | std::ios::binary);
-  log_is_text_ = false;
   tail_count_ = 0;
   return Status::ok();
 }
@@ -346,16 +287,8 @@ Result<std::vector<Record>> Journal::replay(ReplayStats* stats) const {
     auto contents = read_file(file);
     if (!contents.is_ok()) continue;  // missing file: valid empty journal
     std::size_t count = 0;
-    Status replayed;
-    if (file_is_block_format(file)) {
-      replayed = replay_block_stream(contents.value(), 0, is_snapshot,
-                                     &records, &count, &local);
-    } else {
-      if (!is_snapshot) log_is_text_ = true;
-      replayed = replay_text_stream(contents.value(), is_snapshot, &records,
-                                    &count, &local);
-    }
-    TDP_RETURN_IF_ERROR(replayed);
+    TDP_RETURN_IF_ERROR(replay_block_stream(contents.value(), 0, is_snapshot,
+                                            &records, &count, &local));
     if (!is_snapshot) tail = count;
   }
   tail_count_ = tail;
@@ -392,11 +325,6 @@ Result<std::vector<Record>> Journal::replay_from(std::uint64_t position,
   if (!contents.is_ok()) {
     if (stats) *stats = local;
     return records;  // no log: empty delta
-  }
-  if (!file_is_block_format(file)) {
-    return Status(ErrorCode::kUnsupported,
-                  "replay_from requires the block log format (legacy text "
-                  "journal; write a snapshot to convert)");
   }
   if (position > contents->size()) {
     return Status(ErrorCode::kInvalidArgument,

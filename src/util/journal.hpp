@@ -15,11 +15,10 @@
 //   * open_file()  - <path>.snap + <path>.log on disk, snapshot written
 //                    atomically (tmp + rename), torn trailing blocks
 //                    dropped on replay (a crash mid-append must not poison
-//                    recovery). Pre-PR-6 plain-text journals are detected
-//                    on open and keep working: replay understands both
-//                    formats, and appends to a legacy text log stay text
-//                    so one file never mixes formats. The first snapshot
-//                    rewrites everything as blocks.
+//                    recovery). Blocks are the only on-disk format: a file
+//                    without the block sync marker is damage, fatal in a
+//                    snapshot and skipped (and counted in ReplayStats) in
+//                    the log.
 //
 // Locking: Journal::mutex_ is a strict leaf - daemons append while holding
 // their own state lock, so the journal must never call out or acquire
@@ -100,7 +99,7 @@ class Journal {
   /// (a value previously returned by log_position()). The snapshot is not
   /// read: this is the incremental path for a reader that already holds
   /// state up to `position` and only needs the delta - bounded by bytes
-  /// appended since, not by journal size. kUnsupported on legacy text logs.
+  /// appended since, not by journal size.
   [[nodiscard]] Result<std::vector<Record>> replay_from(
       std::uint64_t position, ReplayStats* stats = nullptr) const;
 
@@ -117,9 +116,6 @@ class Journal {
   std::vector<Record> memory_snapshot_ TDP_GUARDED_BY(mutex_);
   std::vector<Record> memory_tail_ TDP_GUARDED_BY(mutex_);
   mutable std::size_t tail_count_ TDP_GUARDED_BY(mutex_) = 0;
-  /// True when the existing .log on disk predates the block format; appends
-  /// then stay line-oriented so one file never mixes formats.
-  mutable bool log_is_text_ TDP_GUARDED_BY(mutex_) = false;
 
   /// Empty for the in-memory backing.
   const std::string path_;

@@ -7,6 +7,9 @@
 // silent) produced a "successful" reconnect whose lease watches were never
 // re-armed server-side — the subscriber sat deaf forever, which for
 // tdp.liveness.* watches means daemon death goes unnoticed.
+//
+// The retry helpers the reconnect path and the front door's kBusy callers
+// share (backoff_delay_ms, retry_after_hint_ms) are tested at the end.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +25,7 @@
 #include "attrspace/attr_client.hpp"
 #include "attrspace/attr_server.hpp"
 #include "net/inproc.hpp"
+#include "util/rng.hpp"
 #include "util/status.hpp"
 
 namespace tdp {
@@ -245,3 +249,73 @@ TEST(AttrClientResubscribe, AbandonSeversWithoutExitProtocol) {
 
 }  // namespace
 }  // namespace tdp
+
+namespace tdp::attr {
+namespace {
+
+// --- retry backoff helper and retry-after hint parsing ---
+
+TEST(BackoffDelay, HugeAttemptCountIsNotUndefined) {
+  RetryPolicy policy;
+  policy.base_backoff_ms = 5;
+  policy.max_backoff_ms = 200;
+  Rng jitter(1);
+  // Pre-fix this computed `5 << (attempt - 1)`: UB at attempt >= 32. The
+  // clamped exponent must saturate at the ceiling instead, forever.
+  for (int attempt : {1, 2, 31, 32, 33, 64, 1'000, 1'000'000'000}) {
+    const int delay = backoff_delay_ms(policy, attempt, 0, jitter);
+    EXPECT_GE(delay, 0) << "attempt " << attempt;
+    EXPECT_LE(delay, policy.max_backoff_ms) << "attempt " << attempt;
+  }
+}
+
+TEST(BackoffDelay, ExponentialRampIsHalfJittered) {
+  RetryPolicy policy;
+  policy.base_backoff_ms = 8;
+  policy.max_backoff_ms = 1000;
+  Rng jitter(42);
+  for (int round = 0; round < 100; ++round) {
+    // attempt 3 -> deterministic backoff 32ms, delivered as 16 + U[0,16].
+    const int delay = backoff_delay_ms(policy, 3, 0, jitter);
+    EXPECT_GE(delay, 16);
+    EXPECT_LE(delay, 32);
+  }
+}
+
+TEST(BackoffDelay, ServerHintDominatesWithJitterOnTop) {
+  RetryPolicy policy;
+  policy.base_backoff_ms = 5;
+  policy.max_backoff_ms = 10;  // the hint must NOT be capped by this
+  Rng jitter(7);
+  bool saw_jitter = false;
+  for (int round = 0; round < 100; ++round) {
+    const int delay = backoff_delay_ms(policy, 1, 100, jitter);
+    EXPECT_GE(delay, 100);
+    EXPECT_LE(delay, 150);  // hint + up to half the hint again
+    if (delay != 100) saw_jitter = true;
+  }
+  EXPECT_TRUE(saw_jitter);  // a herd must not retry in lockstep
+}
+
+TEST(BackoffDelay, ZeroBaseYieldsZero) {
+  RetryPolicy policy;
+  policy.base_backoff_ms = 0;
+  Rng jitter(3);
+  EXPECT_EQ(backoff_delay_ms(policy, 5, 0, jitter), 0);
+}
+
+TEST(RetryAfterHint, ParsesBusyStatusesOnly) {
+  EXPECT_EQ(retry_after_hint_ms(Status::ok()), 0);
+  EXPECT_EQ(retry_after_hint_ms(
+                make_error(ErrorCode::kBusy, "server busy; retry_after_ms=37")),
+            37);
+  EXPECT_EQ(retry_after_hint_ms(make_error(ErrorCode::kBusy, "no hint here")),
+            0);
+  // Same hint text under a different code is not a backpressure answer.
+  EXPECT_EQ(retry_after_hint_ms(
+                make_error(ErrorCode::kInternal, "retry_after_ms=37")),
+            0);
+}
+
+}  // namespace
+}  // namespace tdp::attr

@@ -228,7 +228,6 @@ KillCluster make_cluster(const ClusterOptions& options) {
   if (!options.capsule_dir.empty()) {
     std::filesystem::remove_all(options.capsule_dir);
     std::filesystem::create_directories(options.capsule_dir);
-    config.enable_flightrec = true;
     config.capsule_dir = options.capsule_dir;
   }
   config.cass_store = options.cass_store;

@@ -1,6 +1,8 @@
 // Tests for the submit-side daemons (schedd/shadow), the matchmaker, the
 // startd claiming protocol, the master supervisor, and file transfer.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
@@ -372,6 +374,39 @@ TEST_F(FileTransferTest, ScratchDirsAreUnique) {
   EXPECT_TRUE(std::filesystem::exists(a.value()));
   ASSERT_TRUE(FileTransfer::remove_dir(a.value()).is_ok());
   EXPECT_FALSE(std::filesystem::exists(a.value()));
+}
+
+TEST_F(FileTransferTest, ScratchDirsAreUniqueAcrossProcesses) {
+  // Two starters in different processes sharing one scratch base: a forked
+  // child starts from the parent's counter, so only the pid tells the two
+  // directories apart.
+  std::filesystem::create_directories(exec_dir_);
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    ::close(fds[0]);
+    auto dir = FileTransfer::make_scratch_dir(exec_dir_, "j");
+    const std::string path = dir.is_ok() ? dir.value() : std::string();
+    const bool sent = ::write(fds[1], path.data(), path.size()) ==
+                      static_cast<ssize_t>(path.size());
+    ::_exit(dir.is_ok() && sent ? 0 : 1);
+  }
+  ::close(fds[1]);
+  auto mine = FileTransfer::make_scratch_dir(exec_dir_, "j");
+  std::string theirs;
+  char buffer[256];
+  for (ssize_t n; (n = ::read(fds[0], buffer, sizeof buffer)) > 0;) {
+    theirs.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+  ASSERT_TRUE(mine.is_ok());
+  EXPECT_FALSE(theirs.empty());
+  EXPECT_NE(mine.value(), theirs);
 }
 
 TEST_F(FileTransferTest, RemoveDirRefusesRelativePaths) {

@@ -12,6 +12,7 @@
 #include "proc/posix_backend.hpp"
 #include "proc/sim_backend.hpp"
 #include "util/clock.hpp"
+#include "util/flightrec.hpp"
 
 namespace tdp::condor {
 namespace {
@@ -23,8 +24,9 @@ struct SimPool {
   std::map<std::string, std::shared_ptr<proc::SimProcessBackend>> backends;
   std::unique_ptr<Pool> pool;
 
-  explicit SimPool(int machines) {
+  explicit SimPool(int machines, std::string capsule_dir = "") {
     PoolConfig config;
+    config.capsule_dir = std::move(capsule_dir);
     config.transport = transport;
     config.use_real_files = false;
     config.tool_wait_timeout_ms = 0;  // virtual time: no wall-clock faults
@@ -181,12 +183,61 @@ TEST(PoolSim, MachineReusedAfterJobCompletes) {
   EXPECT_EQ(cluster.pool->schedd().job(second)->status, JobStatus::kCompleted);
 }
 
+// --- flight recorder: on exactly when capsule_dir is set ---
+
+/// Runs one sim job to completion on node0.
+void run_one_job(SimPool& cluster) {
+  JobId id = cluster.pool->submit(sim_job(2));
+  ASSERT_EQ(cluster.pool->negotiate(), 1);
+  for (int i = 0; i < 10 && !job_status_terminal(cluster.pool->schedd().job(id)->status); ++i) {
+    cluster.step_all();
+    cluster.pool->pump();
+  }
+  ASSERT_EQ(cluster.pool->schedd().job(id)->status, JobStatus::kCompleted);
+}
+
+TEST(PoolFlightRec, WithoutCapsuleDirEveryDaemonSharesTheDisabledRecorder) {
+  SimPool cluster(1);
+  run_one_job(cluster);
+  const std::shared_ptr<flightrec::Recorder> off = flightrec::Recorder::disabled();
+  for (const auto& [role, host] :
+       {std::pair<const char*, const char*>{"schedd", "central"},
+        {"master", "central"}, {"pool", "central"}, {"startd", "node0"},
+        {"starter", "node0"}}) {
+    EXPECT_EQ(cluster.pool->recorder(role, host), off) << role;
+  }
+  EXPECT_EQ(off->recorded(), 0u);
+  EXPECT_EQ(cluster.pool->dump_capsule("startd", "node0", "test").code(),
+            ErrorCode::kInvalidState);
+}
+
+TEST(PoolFlightRec, CapsuleDirTurnsRecordingOn) {
+  const std::string dir = ::testing::TempDir() + "/pool_flightrec_capsules";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SimPool cluster(1, dir);
+  run_one_job(cluster);
+  const auto startd = cluster.pool->recorder("startd", "node0");
+  EXPECT_NE(startd, flightrec::Recorder::disabled());
+  EXPECT_GT(startd->recorded(), 0u);  // start, claim, activate, ...
+  EXPECT_GT(cluster.pool->recorder("starter", "node0")->recorded(), 0u);
+  ASSERT_TRUE(cluster.pool->dump_capsule("startd", "node0", "test").is_ok());
+  auto capsule = flightrec::read_capsule(cluster.pool->capsule_path("startd", "node0"));
+  ASSERT_TRUE(capsule.is_ok()) << capsule.status().to_string();
+  EXPECT_EQ(capsule->role, "startd");
+  EXPECT_FALSE(capsule->events.empty());
+  std::filesystem::remove_all(dir);
+}
+
 // --- real backend (POSIX + real files) ---
 
 class PoolPosixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    submit_dir_ = ::testing::TempDir() + "/pool_submit";
+    // Per-test directory: ctest runs each TEST_F as its own process, in
+    // parallel, so a shared path would race remove_all against a sibling.
+    submit_dir_ = ::testing::TempDir() + "/pool_submit_" +
+                  ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(submit_dir_);
     std::filesystem::create_directories(submit_dir_);
 

@@ -15,7 +15,10 @@ namespace {
 class StandardUniverseTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    submit_dir_ = ::testing::TempDir() + "/std_universe";
+    // Per-test directory: ctest runs each TEST_F as its own process, in
+    // parallel, so a shared path would race remove_all against a sibling.
+    submit_dir_ = ::testing::TempDir() + "/std_universe_" +
+                  ::testing::UnitTest::GetInstance()->current_test_info()->name();
     std::filesystem::remove_all(submit_dir_);
     std::filesystem::create_directories(submit_dir_);
 

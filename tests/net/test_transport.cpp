@@ -6,6 +6,7 @@
 
 #include <poll.h>
 
+#include <cstdint>
 #include <memory>
 #include <thread>
 
@@ -15,11 +16,14 @@
 namespace tdp::net {
 namespace {
 
-enum class Kind { kInProc, kTcp };
+// gtest names each case after the parameter's raw bytes ("# GetParam() =
+// 16-byte object <...>"), so the case holds no padding and no pointer:
+// a 64-bit kind and an inline name give the same test names on every build.
+enum class Kind : std::uint64_t { kInProc, kTcp };
 
 struct TransportCase {
   Kind kind;
-  const char* name;
+  char name[8];
 };
 
 class TransportConformance : public ::testing::TestWithParam<TransportCase> {

@@ -106,6 +106,24 @@ TEST(FlightRec, DisabledRecorderDropsEverything) {
   EXPECT_EQ(rec.recorded(), 1u);
 }
 
+TEST(FlightRec, SharedDisabledRecorderHasNoRing) {
+  const std::shared_ptr<Recorder> off = Recorder::disabled();
+  ASSERT_NE(off, nullptr);
+  EXPECT_EQ(off, Recorder::disabled());  // one instance, shared
+  EXPECT_FALSE(off->enabled());
+  off->set_enabled(true);  // nothing to record into: stays off
+  EXPECT_FALSE(off->enabled());
+  off->state("start", "");
+  off->record(EventKind::kControl, "poke", "");
+  EXPECT_EQ(off->recorded(), 0u);
+  EXPECT_EQ(off->overwritten(), 0u);
+  EXPECT_TRUE(off->snapshot().empty());
+  const std::string path = ::testing::TempDir() + "/flightrec_disabled.capsule";
+  std::remove(path.c_str());
+  EXPECT_EQ(off->dump(path, "test").code(), ErrorCode::kInvalidState);
+  EXPECT_FALSE(read_capsule(path).is_ok());  // nothing written
+}
+
 TEST(FlightRec, LogThresholdFiltersAtTheDoor) {
   ManualClock clock;
   Config config = test_config(&clock);

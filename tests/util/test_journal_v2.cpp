@@ -1,7 +1,7 @@
 // Block-journal tests (PR 6): batch appends, replay stats, seek-to-sync
-// incremental replay, mid-block corruption recovery, and the legacy
-// text-format compatibility path (pre-block journals keep working and are
-// converted at the first snapshot).
+// incremental replay, mid-block corruption recovery, and files without
+// block framing (a plain-text snapshot is fatal, a plain-text log is
+// skipped and reported as corruption).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -178,55 +178,42 @@ TEST_F(BlockJournalTest, SnapshotCorruptionIsFatalNotSilent) {
   EXPECT_FALSE(Journal::open_file(path_).is_ok());
 }
 
-TEST_F(BlockJournalTest, LegacyTextJournalStillReplays) {
-  // A pre-PR-6 journal: plain tab-separated lines, no block framing.
+TEST_F(BlockJournalTest, TextSnapshotIsRejected) {
+  // Plain tab-separated lines with no block framing: the snapshot is
+  // written atomically, so a file without the sync marker is damage.
   {
-    std::ofstream log(log_path(), std::ios::binary);
-    log << "job\t1\tidle\n"
-        << "job\t2\trunning\n";
+    std::ofstream snap(snap_path(), std::ios::binary);
+    snap << "job\t1\tidle\n"
+         << "job\t2\trunning\n";
   }
   auto journal = Journal::open_file(path_);
-  ASSERT_TRUE(journal.is_ok());
-  auto replayed = journal.value()->replay();
-  ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
-  ASSERT_EQ(replayed->size(), 2u);
-  EXPECT_EQ(replayed->at(1).fields[1], "running");
-
-  // Appends to a legacy log stay text: one file never mixes formats.
-  ASSERT_TRUE(journal.value()->append({"job", {"3", "idle"}}).is_ok());
-  const std::string log = read_file(log_path());
-  EXPECT_NE(log.substr(0, 4), "TDPJ");
-  auto again = journal.value()->replay();
-  ASSERT_TRUE(again.is_ok());
-  EXPECT_EQ(again->size(), 3u);
-
-  // Incremental replay is a block-format feature; legacy logs say so
-  // instead of returning wrong offsets.
-  EXPECT_FALSE(journal.value()->replay_from(0).is_ok());
-
-  // The first snapshot converts everything to blocks.
-  ASSERT_TRUE(journal.value()->write_snapshot(again.value()).is_ok());
-  EXPECT_EQ(read_file(snap_path()).substr(0, 4), "TDPJ");
-  ASSERT_TRUE(journal.value()->append({"job", {"4", "idle"}}).is_ok());
-  EXPECT_EQ(read_file(log_path()).substr(0, 4), "TDPJ");
-  auto converted = journal.value()->replay();
-  ASSERT_TRUE(converted.is_ok());
-  EXPECT_EQ(converted->size(), 4u);
+  ASSERT_FALSE(journal.is_ok());
+  EXPECT_EQ(journal.status().code(), ErrorCode::kInvalidArgument);
 }
 
-TEST_F(BlockJournalTest, LegacyTextTornTailStillDropped) {
+TEST_F(BlockJournalTest, TextLogIsReportedAsCorruption) {
+  const std::string text = "job\t1\tidle\njob\t2\trunning\n";
   {
     std::ofstream log(log_path(), std::ios::binary);
-    log << "job\t1\tidle\n"
-        << "job\t2\trun";  // no newline: torn
+    log << text;
   }
   auto journal = Journal::open_file(path_);
-  ASSERT_TRUE(journal.is_ok());
+  ASSERT_TRUE(journal.is_ok()) << journal.status().to_string();
   ReplayStats stats;
   auto replayed = journal.value()->replay(&stats);
-  ASSERT_TRUE(replayed.is_ok());
-  ASSERT_EQ(replayed->size(), 1u);
-  EXPECT_TRUE(stats.torn_tail);
+  ASSERT_TRUE(replayed.is_ok()) << replayed.status().to_string();
+  EXPECT_TRUE(replayed->empty());
+  EXPECT_EQ(stats.resyncs, 1u);
+  EXPECT_EQ(stats.bytes_skipped, text.size());
+  EXPECT_FALSE(stats.torn_tail);
+
+  // Appends land as blocks after the damage, and replay resyncs onto them.
+  ASSERT_TRUE(journal.value()->append({"job", {"3", "idle"}}).is_ok());
+  auto again = journal.value()->replay(&stats);
+  ASSERT_TRUE(again.is_ok());
+  ASSERT_EQ(again->size(), 1u);
+  EXPECT_EQ(again->at(0).fields[0], "3");
+  EXPECT_EQ(stats.resyncs, 1u);
 }
 
 }  // namespace
