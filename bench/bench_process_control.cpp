@@ -5,6 +5,7 @@
 // against one process never produce an illegal state transition, because
 // one RM serializes them.
 #include <benchmark/benchmark.h>
+#include <poll.h>
 
 #include <thread>
 
@@ -41,10 +42,13 @@ struct ControlFixture {
     app.sim_work_units = 1'000'000'000;
     pid = rm->create_process(app).value();
     if (with_pump) {
+      // The Section 3.3 daemon loop: block on the session's event fd, then
+      // service. The 1 ms bound only lets the loop notice `stop` promptly.
       pump = std::thread([this] {
+        pollfd pfd{rm->event_fd(), POLLIN, 0};
         while (!stop.load(std::memory_order_acquire)) {
+          ::poll(&pfd, 1, 1);
           rm->service_events();
-          std::this_thread::sleep_for(std::chrono::microseconds(100));
         }
       });
     }

@@ -15,6 +15,7 @@
 #include "core/tdp.hpp"
 #include "net/tcp.hpp"
 #include "proc/posix_backend.hpp"
+#include "util/fd.hpp"
 
 using namespace tdp;
 
@@ -65,9 +66,12 @@ int main() {
   // control requests (Section 2.3: all process control goes through the RM).
   std::atomic<bool> rm_stop{false};
   std::thread rm_loop([&] {
+    // Block on the session's one descriptor (Section 3.3): it wakes for a
+    // tool's request and for a child's exit. The bound is for rm_stop.
+    const int fd = rm.value()->event_fd();
     while (!rm_stop.load()) {
+      wait_readable({fd}, 10);
       rm.value()->service_events();
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
 

@@ -60,13 +60,21 @@ run_tsan() {
   cmake --build build-tsan -j"$(nproc)" \
     --target tdp_attr_tests tdp_chaos_tests tdp_util_tests tdp_scale_tests \
              tdp_chaos_scale_tests tdp_condor_tests \
-             tdp_chaos_integration_tests
+             tdp_chaos_integration_tests tdp_proc_tests tdp_core_tests
   # The stress tests exercise the sharded store (concurrent writers,
   # readers, racing waiters) and the reactor-driven server under client
   # churn - exactly the paths a data race would hide in.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/tdp_attr_tests \
-    --gtest_filter='ShardedStoreStress.*:ReactorServer.*'
+    --gtest_filter='ShardedStoreStress.*:ReactorServer.*:AttrClientEventFd.*:AttrClientResubscribe.ReadableFdSurvivesRedial'
+  # The event fds: the client's eventfd is signalled after its lock is
+  # released and cleared before service_events swaps the queue, the
+  # backend's pidfds are reaped under its lock while wait_terminal polls a
+  # duplicate, and an RM loop blocks on the session's set.
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_proc_tests --gtest_filter='PosixBackend.*'
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/tdp_core_tests --gtest_filter='SessionEventLoopTest.*'
   # Fault injection under TSan: reconnect/replay races between the client's
   # caller thread, service_events and the server I/O thread.
   TSAN_OPTIONS="halt_on_error=1" \

@@ -240,7 +240,14 @@ Status AttrClient::reconnect_locked() {
       last = connected.status();
       continue;
     }
+    // Swap the endpoint inside readable_fd()'s set, which keeps its number:
+    // a daemon loop polling it never learns the connection changed.
+    events_.remove(registered_fd_);
     endpoint_ = std::move(connected).value();
+    if (events_.built()) {
+      registered_fd_ = endpoint_->readable_fd();
+      events_.add(registered_fd_);
+    }
     Status init = init_on_endpoint_locked();
     if (!init.is_ok()) {
       last = init;
@@ -383,50 +390,57 @@ Result<std::vector<std::pair<std::string, std::string>>> AttrClient::list() {
 
 Result<int> AttrClient::async_get(const std::string& attribute,
                                   CompletionCallback callback) {
-  LockGuard lock(mutex_);
-  if (!endpoint_ || !endpoint_->is_open()) {
-    if (!can_reconnect_locked()) {
-      return make_error(ErrorCode::kConnectionError, "not connected");
+  {
+    LockGuard lock(mutex_);
+    if (!endpoint_ || !endpoint_->is_open()) {
+      if (!can_reconnect_locked()) {
+        return make_error(ErrorCode::kConnectionError, "not connected");
+      }
+      TDP_RETURN_IF_ERROR(reconnect_locked());
     }
-    TDP_RETURN_IF_ERROR(reconnect_locked());
+    Message request(MsgType::kAttrAsyncGet);
+    const std::uint64_t seq_used = next_seq();
+    request.set_seq(seq_used);
+    request.set(field::kContext, context_);
+    request.set(field::kAttribute, attribute);
+    stamp_trace(request);
+    TDP_RETURN_IF_ERROR(endpoint_->send(std::move(request)));
+    pending_async_[seq_used] = {MsgType::kAttrAsyncGet, attribute, "",
+                                std::move(callback)};
   }
-  Message request(MsgType::kAttrAsyncGet);
-  const std::uint64_t seq_used = next_seq();
-  request.set_seq(seq_used);
-  request.set(field::kContext, context_);
-  request.set(field::kAttribute, attribute);
-  stamp_trace(request);
-  TDP_RETURN_IF_ERROR(endpoint_->send(std::move(request)));
-  pending_async_[seq_used] = {MsgType::kAttrAsyncGet, attribute, "",
-                              std::move(callback)};
-  return endpoint_->readable_fd();
+  return readable_fd();
 }
 
 Result<int> AttrClient::async_put(const std::string& attribute, const std::string& value,
                                   CompletionCallback callback) {
-  LockGuard lock(mutex_);
-  if (!endpoint_ || !endpoint_->is_open()) {
-    if (!can_reconnect_locked()) {
-      return make_error(ErrorCode::kConnectionError, "not connected");
+  {
+    LockGuard lock(mutex_);
+    if (!endpoint_ || !endpoint_->is_open()) {
+      if (!can_reconnect_locked()) {
+        return make_error(ErrorCode::kConnectionError, "not connected");
+      }
+      TDP_RETURN_IF_ERROR(reconnect_locked());
     }
-    TDP_RETURN_IF_ERROR(reconnect_locked());
+    Message request(MsgType::kAttrPut);
+    const std::uint64_t seq_used = next_seq();
+    request.set_seq(seq_used);
+    request.set(field::kContext, context_);
+    request.set(field::kAttribute, attribute);
+    request.set(field::kValue, value);
+    stamp_trace(request);
+    TDP_RETURN_IF_ERROR(endpoint_->send(std::move(request)));
+    pending_async_[seq_used] = {MsgType::kAttrPut, attribute, value,
+                                std::move(callback)};
   }
-  Message request(MsgType::kAttrPut);
-  const std::uint64_t seq_used = next_seq();
-  request.set_seq(seq_used);
-  request.set(field::kContext, context_);
-  request.set(field::kAttribute, attribute);
-  request.set(field::kValue, value);
-  stamp_trace(request);
-  TDP_RETURN_IF_ERROR(endpoint_->send(std::move(request)));
-  pending_async_[seq_used] = {MsgType::kAttrPut, attribute, value,
-                              std::move(callback)};
-  return endpoint_->readable_fd();
+  return readable_fd();
 }
 
 Status AttrClient::subscribe(const std::string& pattern, NotifyCallback callback) {
   // Register client-side first so a notify racing the subscribe ack is not
-  // lost; seq is fixed up under the same lock as the send.
+  // lost; seq is fixed up under the same lock as the send. A notify read
+  // while awaiting the ack is queued; readable_fd() is signalled for it
+  // once the lock is released.
+  const EventSource::SignalAtExit signal{events_};
   LockGuard lock(mutex_);
   if (!endpoint_ || !endpoint_->is_open()) {
     if (!can_reconnect_locked()) {
@@ -485,6 +499,10 @@ Status AttrClient::subscribe(const std::string& pattern, NotifyCallback callback
     }
     Message reply;
     if (route_message(std::move(received).value(), seq_used, &reply)) {
+      // Frames that arrived with the ack may still sit in the transport
+      // buffer, where readable_fd() cannot see them: one wake makes the
+      // caller's next service_events() route them.
+      events_.queued();
       return status_from_reply(reply);
     }
   }
@@ -498,6 +516,7 @@ Result<Message> AttrClient::call(Message request, int timeout_ms) {
   UniqueLock lock(mutex_);
   Result<Message> result = call_locked(std::move(request), timeout_ms);
   lock.unlock();
+  events_.signal();
   if (traced) {
     call_histogram().record(static_cast<std::uint64_t>(
         std::max<Micros>(0, telemetry::Tracer::instance().now() - start)));
@@ -570,6 +589,7 @@ Result<Message> AttrClient::call_locked(Message request, int timeout_ms) {
       consecutive_conn_failures = 0;
       Message reply;
       if (route_message(std::move(received).value(), awaited, &reply)) {
+        drain_buffered_locked();
         return reply;
       }
     }
@@ -595,6 +615,7 @@ bool AttrClient::route_message(Message msg, std::uint64_t awaited_seq,
           telemetry::ScopedAmbient ambient(trace);
           callback(attribute, value);
         });
+        events_.queued();
         return false;
       }
     }
@@ -615,6 +636,7 @@ bool AttrClient::route_message(Message msg, std::uint64_t awaited_seq,
       telemetry::ScopedAmbient ambient(trace);
       pending.callback(status, pending.attribute, value);
     });
+    events_.queued();
     return false;
   }
 
@@ -627,7 +649,20 @@ bool AttrClient::route_message(Message msg, std::uint64_t awaited_seq,
   return false;
 }
 
+void AttrClient::drain_buffered_locked() {
+  if (!events_.built()) return;
+  while (true) {
+    auto received = endpoint_->receive(0);
+    if (!received.is_ok()) return;  // a lost connection is service_events' job
+    Message unused;
+    route_message(std::move(received).value(), /*awaited_seq=*/0, &unused);
+  }
+}
+
 int AttrClient::service_events() {
+  // Clear first: a callback queued after this re-signals, and one queued
+  // before it is in the queue this call swaps out and runs.
+  events_.clear();
   std::deque<std::function<void()>> to_run;
   {
     LockGuard lock(mutex_);
@@ -638,17 +673,26 @@ int AttrClient::service_events() {
           // Drained (timeout) or disconnected. A poll-loop daemon calls
           // this every turn, so this is the natural place to heal a lost
           // connection: redial, rejoin, re-register subscriptions.
-          if (received.status().code() != ErrorCode::kTimeout &&
-              can_reconnect_locked()) {
-            reconnect_locked();  // best effort; next turn retries again
+          if (received.status().code() != ErrorCode::kTimeout) {
+            if (can_reconnect_locked()) {
+              reconnect_locked();  // best effort; next turn retries again
+            } else {
+              // Gone for good: its end-of-stream would keep readable_fd()
+              // readable with nothing for this call to do.
+              forget_endpoint_locked();
+            }
           }
           break;
         }
         Message unused;
         route_message(std::move(received).value(), /*awaited_seq=*/0, &unused);
       }
+    } else if (!can_reconnect_locked()) {
+      forget_endpoint_locked();  // closed for good, as above
     }
     to_run.swap(ready_callbacks_);
+    // Everything queued so far runs below; nothing is left to signal.
+    events_.taken();
   }
   // Callbacks run outside the lock, on the caller's thread — the paper's
   // "well-known and (presumably) safe point".
@@ -662,15 +706,31 @@ int AttrClient::service_events() {
 }
 
 int AttrClient::readable_fd() const {
+  const EventSource::SignalAtExit signal{events_};
   LockGuard lock(mutex_);
-  return endpoint_ ? endpoint_->readable_fd() : -1;
+  if (!events_.built()) {
+    if (events_.fd() < 0) {
+      // No epoll or eventfd to be had: the bare endpoint is all there is.
+      return endpoint_ ? endpoint_->readable_fd() : -1;
+    }
+    if (endpoint_ && endpoint_->is_open()) {
+      registered_fd_ = endpoint_->readable_fd();  // NOLINT: same inproc fd-export write as the baselined fallback above
+      events_.add(registered_fd_);
+    }
+    // Callbacks queued before anyone asked for the descriptor are work too.
+    if (!ready_callbacks_.empty()) events_.queued();
+  }
+  return events_.fd();
 }
 
 Status AttrClient::exit() {
   LockGuard lock(mutex_);
   if (exited_) return Status::ok();
   exited_ = true;
-  if (!endpoint_ || !endpoint_->is_open()) return Status::ok();
+  if (!endpoint_ || !endpoint_->is_open()) {
+    forget_endpoint_locked();
+    return Status::ok();
+  }
   Message request(MsgType::kAttrExit);
   const std::uint64_t awaited = next_seq();
   request.set_seq(awaited);
@@ -692,6 +752,7 @@ Status AttrClient::exit() {
     }
   }
   endpoint_->close();
+  forget_endpoint_locked();
   return Status::ok();
 }
 
@@ -699,6 +760,12 @@ void AttrClient::abandon() {
   LockGuard lock(mutex_);
   exited_ = true;
   if (endpoint_) endpoint_->close();
+  forget_endpoint_locked();
+}
+
+void AttrClient::forget_endpoint_locked() {
+  events_.remove(registered_fd_);
+  registered_fd_ = -1;
 }
 
 bool AttrClient::connected() const {

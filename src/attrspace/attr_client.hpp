@@ -14,9 +14,11 @@
 //                                blocking call on the caller's own thread —
 //                                never from signals or hidden threads, which
 //                                is exactly the paper's design rationale.
-//   * the "tdp_fd"            -> readable_fd(); activity on it tells a
-//                                poll-based daemon loop to call
-//                                service_events().
+//   * the "tdp_fd"            -> readable_fd(); it polls readable exactly
+//                                while service_events() has work - inbound
+//                                traffic or a callback a blocking call
+//                                queued - so a poll-based daemon loop can
+//                                block on it without a timer tick.
 //
 // Thread safety: all public methods are safe to call concurrently; the
 // paper requires the library to be usable from serial and multi-threaded
@@ -34,6 +36,7 @@
 #include <vector>
 
 #include "net/transport.hpp"
+#include "util/fd.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 
@@ -133,7 +136,8 @@ class AttrClient {
 
   /// Requests the attribute; returns immediately. The callback fires from
   /// a later service_events() call (or is queued by an intervening blocking
-  /// call). Returns the descriptor to poll (the paper's "tdp_fd").
+  /// call). Returns the descriptor to poll (the paper's "tdp_fd"), the same
+  /// one readable_fd() returns.
   Result<int> async_get(const std::string& attribute, CompletionCallback callback);
 
   /// Stores the attribute asynchronously; callback on acknowledgement.
@@ -149,7 +153,13 @@ class AttrClient {
   /// callbacks on the calling thread. Returns the number dispatched.
   int service_events();
 
-  /// Descriptor that polls readable when service_events() has work.
+  /// Descriptor that polls readable exactly while service_events() has
+  /// work: a frame on the connection, or a callback queued by a blocking
+  /// call that read a notify or async reply off the wire while awaiting
+  /// its own reply. An epoll set over the endpoint and an eventfd, built on
+  /// the first call (clients nobody polls pay nothing) and kept across
+  /// redials, so the number never changes. A connection that is gone for
+  /// good leaves the set: it is no work for service_events().
   [[nodiscard]] int readable_fd() const;
 
   // --- failure recovery ---
@@ -209,6 +219,14 @@ class AttrClient {
   bool route_message(net::Message msg, std::uint64_t awaited_seq,
                      net::Message* reply_out) TDP_REQUIRES(mutex_);
 
+  /// Routes every frame the endpoint can deliver without waiting, so none
+  /// is left in a transport buffer where readable_fd() cannot see it.
+  /// A no-op until readable_fd() was asked for.
+  void drain_buffered_locked() TDP_REQUIRES(mutex_);
+
+  /// Takes a closed or dead endpoint out of readable_fd()'s set.
+  void forget_endpoint_locked() TDP_REQUIRES(mutex_);
+
   std::uint64_t next_seq() TDP_REQUIRES(mutex_);
 
   std::string context_;
@@ -216,6 +234,11 @@ class AttrClient {
   std::atomic<int> reconnects_{0};
   std::atomic<int> replays_{0};
   std::uint64_t batch_nonce_ = 0;  ///< set once in the ctor, immutable after
+
+  /// readable_fd(): built on first request, so clients nobody polls pay
+  /// nothing. fd()/add/remove/queued/taken run under mutex_, signal and
+  /// clear after it is released (EventSource's own atomics).
+  mutable EventSource events_;
 
   mutable Mutex mutex_{"AttrClient::mutex_"};
   // The request/reply state machine mutex_ serializes.
@@ -246,6 +269,9 @@ class AttrClient {
 
   /// Callbacks ready to run at the next service_events().
   std::deque<std::function<void()>> ready_callbacks_ TDP_GUARDED_BY(mutex_);
+
+  /// The endpoint descriptor currently in events_ (-1 when none).
+  mutable int registered_fd_ TDP_GUARDED_BY(mutex_) = -1;
 
   bool exited_ TDP_GUARDED_BY(mutex_) = false;
 };

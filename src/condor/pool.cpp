@@ -1,10 +1,9 @@
 #include "condor/pool.hpp"
 
-#include <chrono>
 #include <limits>
 #include <optional>
-#include <thread>
 
+#include "util/fd.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
 #include "util/telemetry.hpp"
@@ -13,6 +12,9 @@ namespace tdp::condor {
 
 namespace {
 const log::Logger kLog("pool");
+
+/// Upper bound on run_to_completion's wait between turns.
+constexpr int kPumpTickMs = 2;
 
 std::string expand_pattern(const std::string& pattern, const std::string& machine,
                            JobId job) {
@@ -736,7 +738,18 @@ Result<JobRecord> Pool::run_to_completion(JobId id, int timeout_ms,
                             job_status_name(record->status) + " after " +
                             std::to_string(timeout_ms) + "ms");
     }
-    if (!idle_hook) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (!idle_hook) {
+      // Block until some starter's RM has work (a child exited, a tool sent
+      // a control request, ...), for at most the tick that keeps master
+      // probes, leases, the tool-wait timeout and telemetry publishing at
+      // their resolution.
+      std::vector<int> fds;
+      for (auto& [name, startd] : startds_) {
+        const Starter* starter = startd->starter();
+        if (starter != nullptr) fds.push_back(starter->event_fd());
+      }
+      wait_readable(fds, kPumpTickMs);
+    }
   }
 }
 

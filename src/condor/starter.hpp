@@ -210,6 +210,10 @@ class Starter {
   /// The RM-side TDP session (tests; also how a startd injects control).
   TdpSession& rm_session() { return *session_; }
 
+  /// The RM session's event_fd(): readable when pump() has work. -1 before
+  /// the session exists.
+  [[nodiscard]] int event_fd() const { return session_ ? session_->event_fd() : -1; }
+
   /// Kills all application processes and tears down the LASS.
   void shutdown();
 

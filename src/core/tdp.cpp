@@ -300,27 +300,59 @@ int TdpSession::service_events() {
   int handled = lass_->service_events();
   if (cass_) handled += cass_->service_events();
   if (role_ == Role::kResourceManager && backend_) {
-    for (const proc::ProcessEvent& event : backend_->poll_events()) {
-      publish_event(event);
-      ++handled;
-    }
+    const std::vector<proc::ProcessEvent> events = backend_->poll_events();
+    publish_events(events);
+    handled += static_cast<int>(events.size());
   }
   return handled;
 }
 
-void TdpSession::publish_event(const proc::ProcessEvent& event) {
-  std::string value = proc::process_state_name(event.state);
-  if (event.state == proc::ProcessState::kExited) {
-    value += ":" + std::to_string(event.exit_code);
-  } else if (event.state == proc::ProcessState::kSignalled) {
-    value += ":" + std::to_string(event.term_signal);
+void TdpSession::publish_events(const std::vector<proc::ProcessEvent>& events) {
+  if (events.empty()) return;
+  // Per event, "proc_state.<pid>" and then app_state; the server stores
+  // (and notifies) the pairs in order, so watchers see what separate puts
+  // would have shown them, for one round trip per turn instead of two per
+  // event.
+  std::vector<std::pair<std::string, std::string>> pairs;
+  pairs.reserve(2 * events.size());
+  for (const proc::ProcessEvent& event : events) {
+    std::string value = proc::process_state_name(event.state);
+    if (event.state == proc::ProcessState::kExited) {
+      value += ":" + std::to_string(event.exit_code);
+    } else if (event.state == proc::ProcessState::kSignalled) {
+      value += ":" + std::to_string(event.term_signal);
+    }
+    pairs.emplace_back(control::state_attr(event.pid), value);
+    pairs.emplace_back(attr::attrs::kAppState,
+                       std::to_string(event.pid) + ":" + value);
   }
-  lass_->put(control::state_attr(event.pid), value);
-  lass_->put(attr::attrs::kAppState,
-             std::to_string(event.pid) + ":" + value);
+  Status published = lass_->put_batch(pairs);
+  if (!published.is_ok()) {
+    kLog.debug("failed to publish ", events.size(), " process events: ",
+              published.to_string());
+  }
 }
 
-int TdpSession::event_fd() const { return lass_->readable_fd(); }
+int TdpSession::event_fd() const {
+  {
+    LockGuard lock(events_mutex_);
+    if (events_) return events_->fd();
+  }
+  // The members build their own descriptors on first request; each call is
+  // thread-safe and returns the same number every time.
+  const int lass_fd = lass_->readable_fd();
+  const int cass_fd = cass_ ? cass_->readable_fd() : -1;
+  const int backend_fd =
+      role_ == Role::kResourceManager && backend_ ? backend_->event_fd() : -1;
+  LockGuard lock(events_mutex_);
+  if (!events_) {
+    auto events = std::make_unique<EpollSet>();
+    if (events->fd() < 0) return lass_fd;  // no epoll: the LASS alone
+    for (int fd : {lass_fd, cass_fd, backend_fd}) events->add(fd);
+    events_ = std::move(events);
+  }
+  return events_->fd();
+}
 
 Result<std::unique_ptr<net::Endpoint>> TdpSession::connect_to(
     const std::string& target_address, const std::string& service) {

@@ -17,11 +17,11 @@
 //     will never attempt conflicting control operations."
 //
 // Event model (Section 3.3): nothing in this library ever invokes a user
-// callback from a signal handler or a hidden thread. Async completions and
-// notifications are queued, a descriptor (event_fd) becomes readable, and
-// the daemon's own poll loop calls service_events() to dispatch — "the
-// callback function will be called at a well-known and (presumably) safe
-// point."
+// callback from a signal handler or a hidden thread. Async completions,
+// notifications and (for an RM) child state changes are queued, one
+// descriptor (event_fd) becomes readable, and the daemon's own poll loop
+// calls service_events() to dispatch — "the callback function will be
+// called at a well-known and (presumably) safe point."
 //
 // The create-mode launch sequence of Figure 3A/Figure 6, expressed in this
 // API (RM side):
@@ -45,6 +45,8 @@
 #include "attrspace/attr_protocol.hpp"
 #include "net/transport.hpp"
 #include "proc/backend.hpp"
+#include "util/fd.hpp"
+#include "util/sync.hpp"
 
 namespace tdp {
 
@@ -181,9 +183,16 @@ class TdpSession {
   /// queued tool control requests. Returns the number of events handled.
   int service_events();
 
-  /// Descriptor that polls readable when service_events() has work
-  /// (attribute traffic). RM loops should also call service_events on a
-  /// short timer tick to reap child state changes.
+  /// Descriptor that polls readable exactly while service_events() has
+  /// work: attribute traffic, callbacks queued by a blocking call, and for
+  /// an RM the backend's child state changes. A daemon loop can block on it
+  /// with no timer tick, with one exception: a SIGSTOP/SIGCONT sent by a
+  /// third party is not visible on the descriptor (a pidfd reports only
+  /// exits), so the RM sees it at its next service_events(); RM loops bound
+  /// their wait for that. A backend without an event_fd (the simulator)
+  /// contributes nothing here, and its changes too wait for a bounded tick.
+  /// One epoll set over the LASS, CASS and backend descriptors, built on
+  /// the first call; the number never changes.
   [[nodiscard]] int event_fd() const;
 
   // ------------------------------------------------------------------
@@ -227,8 +236,8 @@ class TdpSession {
   /// RT: round-trips one control request through the attribute space.
   Status request_control(const std::string& op, proc::Pid pid);
 
-  /// RM: publishes one backend event into the space.
-  void publish_event(const proc::ProcessEvent& event);
+  /// RM: publishes backend events into the space, one batched round trip.
+  void publish_events(const std::vector<proc::ProcessEvent>& events);
 
   Role role_;
   std::string context_;
@@ -239,6 +248,11 @@ class TdpSession {
   std::atomic<std::uint64_t> request_counter_{0};
   std::string request_token_;  ///< unique per session, namespaces requests
   std::atomic<bool> exited_{false};
+
+  /// event_fd()'s set, built on first request so sessions nobody polls
+  /// (most tools) pay nothing.
+  mutable Mutex events_mutex_{"TdpSession::events_mutex_"};
+  mutable std::unique_ptr<EpollSet> events_ TDP_GUARDED_BY(events_mutex_);
 };
 
 /// Attribute-name helpers for the RT->RM control channel and RM->RT status

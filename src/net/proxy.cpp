@@ -164,12 +164,15 @@ void ProxyServer::handle_connection_shared(std::shared_ptr<Endpoint> client) {
   }
   std::shared_ptr<Endpoint> upstream(std::move(dialed).value().release());
   reply.set("status", "ok");
+  // Counted before the ok goes out, so a client that has its tunnel also
+  // sees it in tunnels_opened().
+  tunnels_.fetch_add(1, std::memory_order_relaxed);
   if (!client->send(reply).is_ok()) {
+    tunnels_.fetch_sub(1, std::memory_order_relaxed);
     client->close();
     upstream->close();
     return;
   }
-  tunnels_.fetch_add(1, std::memory_order_relaxed);
   kLog.debug("tunnel opened: service=", service, " target=", target);
   recorder_->state("tunnel-open", "service=" + service + " target=" + target);
   auto tunnel = std::make_shared<Tunnel>();

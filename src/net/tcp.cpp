@@ -13,15 +13,11 @@
 #include <vector>
 
 #include "util/clock.hpp"
+#include "util/fd.hpp"
 #include "util/string_util.hpp"
 #include "util/sync.hpp"
 
 namespace tdp::net {
-
-void UniqueFd::reset(int fd) noexcept {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = fd;
-}
 
 namespace {
 

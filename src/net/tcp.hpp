@@ -14,39 +14,6 @@
 
 namespace tdp::net {
 
-/// RAII file descriptor (Core Guidelines R.1).
-class UniqueFd {
- public:
-  UniqueFd() noexcept = default;
-  explicit UniqueFd(int fd) noexcept : fd_(fd) {}
-  ~UniqueFd() { reset(); }
-
-  UniqueFd(const UniqueFd&) = delete;
-  UniqueFd& operator=(const UniqueFd&) = delete;
-  UniqueFd(UniqueFd&& other) noexcept : fd_(other.release()) {}
-  UniqueFd& operator=(UniqueFd&& other) noexcept {
-    if (this != &other) {
-      reset();
-      fd_ = other.release();
-    }
-    return *this;
-  }
-
-  [[nodiscard]] int get() const noexcept { return fd_; }
-  [[nodiscard]] bool valid() const noexcept { return fd_ >= 0; }
-
-  int release() noexcept {
-    int fd = fd_;
-    fd_ = -1;
-    return fd;
-  }
-
-  void reset(int fd = -1) noexcept;
-
- private:
-  int fd_ = -1;
-};
-
 class TcpTransport final : public Transport {
  public:
   /// `address` forms: "host:port" or ":port"; host defaults to 127.0.0.1.

@@ -1,8 +1,6 @@
 #include "paradyn/paradynd.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include <optional>
@@ -10,6 +8,7 @@
 #include "net/proxy.hpp"
 #include "net/wire.hpp"
 #include "util/clock.hpp"
+#include "util/fd.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
 #include "util/telemetry.hpp"
@@ -18,6 +17,10 @@ namespace tdp::paradyn {
 
 namespace {
 const log::Logger kLog("paradynd");
+
+/// Upper bound on run()'s wait between polls: the sampling pace while the
+/// application runs and nothing else happens.
+constexpr int kPollTickMs = 2;
 }
 
 Paradynd::Paradynd(ParadyndConfig config) : config_(std::move(config)) {}
@@ -53,6 +56,16 @@ Status Paradynd::start() {
   // tdp_attach: control is routed to the RM; the application ends up (or
   // stays) paused so instrumentation precedes the first user instruction.
   TDP_RETURN_IF_ERROR(session_->attach(app_pid_));
+
+  // The RM publishes the application's state changes; their notify wakes
+  // run() the moment the application exits. poll_once() reads the state
+  // itself, so the callback has nothing to do. Without the subscription
+  // the exit is still seen, one bounded wait later.
+  Status watched = session_->subscribe(control::state_attr(app_pid_),
+                                       [](const std::string&, const std::string&) {});
+  if (!watched.is_ok()) {
+    kLog.warn("cannot watch the application's state: ", watched.to_string());
+  }
 
   TDP_RETURN_IF_ERROR(initialize_inferior());
 
@@ -312,7 +325,10 @@ Status Paradynd::run(int timeout_ms) {
     if (wall.now_micros() >= deadline) {
       return make_error(ErrorCode::kTimeout, "application still running");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Until the RM publishes a state change or the front-end sends a
+    // command, or the sampling tick passes.
+    wait_readable({session_->event_fd(), frontend_ ? frontend_->readable_fd() : -1},
+                  kPollTickMs);
   }
   return Status::ok();
 }

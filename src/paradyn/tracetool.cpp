@@ -1,10 +1,9 @@
 #include "paradyn/tracetool.hpp"
 
-#include <chrono>
 #include <fstream>
-#include <thread>
 
 #include "util/clock.hpp"
+#include "util/fd.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
 
@@ -12,6 +11,9 @@ namespace tdp::paradyn {
 
 namespace {
 const log::Logger kLog("tracetool");
+
+/// Upper bound on run()'s wait between polls (the event-synthesis pace).
+constexpr int kPollTickMs = 2;
 }
 
 TraceTool::TraceTool(TraceToolConfig config) : config_(std::move(config)) {}
@@ -53,6 +55,13 @@ Status TraceTool::start() {
         "trace tools must observe execution from the first instruction; the "
         "application is already '" + state.value() +
             "' (use create mode with +SuspendJobAtExec)");
+  }
+
+  // As in paradynd: the RM's state notify wakes run() at the exit.
+  Status watched = session_->subscribe(control::state_attr(app_pid_),
+                                       [](const std::string&, const std::string&) {});
+  if (!watched.is_ok()) {
+    kLog.warn("cannot watch the application's state: ", watched.to_string());
   }
 
   auto exe = session_->try_get(attr::attrs::kExecutableName);
@@ -128,7 +137,7 @@ Status TraceTool::run(int timeout_ms) {
     if (wall.now_micros() >= deadline) {
       return make_error(ErrorCode::kTimeout, "application still running");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    wait_readable({session_->event_fd()}, kPollTickMs);
   }
   return Status::ok();
 }

@@ -54,6 +54,11 @@ class ProcessBackend {
   /// (<0 = forever). Returns the final info.
   virtual Result<ProcessInfo> wait_terminal(Pid pid, int timeout_ms) = 0;
 
+  /// Descriptor that polls readable when poll_events() has news, for the
+  /// RM to fold into its event fd (Section 3.3); -1 when this backend
+  /// cannot provide one, and its callers poll on a bounded tick instead.
+  [[nodiscard]] virtual int event_fd() const { return -1; }
+
   /// Number of processes currently managed and not yet reaped.
   virtual std::size_t managed_count() = 0;
 

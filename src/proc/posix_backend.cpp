@@ -3,13 +3,13 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/ptrace.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <thread>
 
 #include "util/clock.hpp"
 #include "util/log.hpp"
@@ -19,6 +19,20 @@ namespace tdp::proc {
 namespace {
 
 const log::Logger kLog("posix_proc");
+
+/// Wait bound for a child without a pidfd (the kernel refused one).
+constexpr int kTickMs = 2;
+
+/// A descriptor readable once `pid` exits; -1 if the kernel has no
+/// pidfd_open (Linux < 5.3) or refuses it.
+UniqueFd open_pidfd(pid_t pid) {
+#ifdef SYS_pidfd_open
+  return UniqueFd(static_cast<int>(::syscall(SYS_pidfd_open, pid, 0)));
+#else
+  (void)pid;
+  return UniqueFd();
+#endif
+}
 
 Status errno_status(ErrorCode code, const char* what) {
   return make_error(code, std::string(what) + ": " + std::strerror(errno));
@@ -169,12 +183,15 @@ Result<Pid> PosixProcessBackend::create_process(const CreateOptions& options) {
     ::close(err_pipe[0]);
   }
 
-  LockGuard lock(mutex_);
   Managed managed;
   managed.info.pid = child;
   managed.info.state = initial_state;
   managed.info.executable = options.argv[0];
-  managed_[child] = managed;
+  // A terminal child may already be reaped, its pid free for reuse.
+  if (!is_terminal(initial_state)) managed.pidfd = open_pidfd(child);
+  LockGuard lock(mutex_);
+  events_.add(managed.pidfd.get());
+  managed_[child] = std::move(managed);
   kLog.debug("created pid ", child, " state=", process_state_name(initial_state));
   return static_cast<Pid>(child);
 }
@@ -188,11 +205,12 @@ Result<PosixProcessBackend::Managed*> PosixProcessBackend::find_locked(Pid pid) 
 }
 
 Status PosixProcessBackend::attach(Pid pid) {
+  const EventSource::SignalAtExit signal{events_};
   LockGuard lock(mutex_);
   auto found = find_locked(pid);
   if (!found.is_ok()) return found.status();
   Managed* managed = found.value();
-  drain_status_locked(pid, &pending_events_);
+  drain_status_locked(pid);
   if (is_terminal(managed->info.state)) {
     return make_error(ErrorCode::kInvalidState, "cannot attach: process is terminal");
   }
@@ -204,16 +222,17 @@ Status PosixProcessBackend::attach(Pid pid) {
     return errno_status(ErrorCode::kInternal, "kill(SIGSTOP)");
   }
   managed->info.state = ProcessState::kStopped;
-  pending_events_.push_back({pid, ProcessState::kStopped, 0, 0});
+  queue_event_locked({pid, ProcessState::kStopped, 0, 0});
   return Status::ok();
 }
 
 Status PosixProcessBackend::continue_process(Pid pid) {
+  const EventSource::SignalAtExit signal{events_};
   LockGuard lock(mutex_);
   auto found = find_locked(pid);
   if (!found.is_ok()) return found.status();
   Managed* managed = found.value();
-  drain_status_locked(pid, &pending_events_);
+  drain_status_locked(pid);
   if (is_terminal(managed->info.state)) {
     return make_error(ErrorCode::kInvalidState, "cannot continue: process is terminal");
   }
@@ -222,17 +241,18 @@ Status PosixProcessBackend::continue_process(Pid pid) {
   }
   if (managed->info.state != ProcessState::kRunning) {
     managed->info.state = ProcessState::kRunning;
-    pending_events_.push_back({pid, ProcessState::kRunning, 0, 0});
+    queue_event_locked({pid, ProcessState::kRunning, 0, 0});
   }
   return Status::ok();
 }
 
 Status PosixProcessBackend::pause_process(Pid pid) {
+  const EventSource::SignalAtExit signal{events_};
   LockGuard lock(mutex_);
   auto found = find_locked(pid);
   if (!found.is_ok()) return found.status();
   Managed* managed = found.value();
-  drain_status_locked(pid, &pending_events_);
+  drain_status_locked(pid);
   if (is_terminal(managed->info.state)) {
     return make_error(ErrorCode::kInvalidState, "cannot pause: process is terminal");
   }
@@ -241,7 +261,7 @@ Status PosixProcessBackend::pause_process(Pid pid) {
   }
   if (managed->info.state == ProcessState::kRunning) {
     managed->info.state = ProcessState::kStopped;
-    pending_events_.push_back({pid, ProcessState::kStopped, 0, 0});
+    queue_event_locked({pid, ProcessState::kStopped, 0, 0});
   }
   return Status::ok();
 }
@@ -262,15 +282,39 @@ Status PosixProcessBackend::kill_process(Pid pid) {
 }
 
 Result<ProcessInfo> PosixProcessBackend::info(Pid pid) {
+  const EventSource::SignalAtExit signal{events_};
   LockGuard lock(mutex_);
   auto found = find_locked(pid);
   if (!found.is_ok()) return found.status();
-  drain_status_locked(pid, &pending_events_);
+  drain_status_locked(pid);
   return found.value()->info;
 }
 
-void PosixProcessBackend::drain_status_locked(Pid pid,
-                                              std::vector<ProcessEvent>* events) {
+void PosixProcessBackend::queue_event_locked(const ProcessEvent& event) {
+  pending_events_.push_back(event);
+  events_.queued();
+}
+
+void PosixProcessBackend::drop_pidfd_locked(Managed& managed) {
+  // Out of the set first: a duplicate held by wait_terminal would keep the
+  // registration (and its readiness) alive past the close.
+  events_.remove(managed.pidfd.get());
+  managed.pidfd.reset();
+}
+
+int PosixProcessBackend::event_fd() const {
+  const EventSource::SignalAtExit signal{events_};
+  LockGuard lock(mutex_);
+  if (!events_.built()) {
+    if (events_.fd() < 0) return -1;
+    for (const auto& [pid, managed] : managed_) events_.add(managed.pidfd.get());
+    // Events queued before anyone asked for the descriptor are news too.
+    if (!pending_events_.empty()) events_.queued();
+  }
+  return events_.fd();
+}
+
+void PosixProcessBackend::drain_status_locked(Pid pid) {
   auto it = managed_.find(pid);
   if (it == managed_.end() || it->second.reaped) return;
   Managed& managed = it->second;
@@ -282,60 +326,85 @@ void PosixProcessBackend::drain_status_locked(Pid pid,
     if (rc == 0) return;  // no pending change
     if (rc < 0) {
       if (errno == EINTR) continue;
-      return;  // ECHILD: someone else reaped; keep last known state
+      // ECHILD: someone else reaped; keep last known state. Its pidfd
+      // would report the exit forever with nothing left to collect.
+      drop_pidfd_locked(managed);
+      return;
     }
     if (WIFEXITED(status)) {
       managed.info.state = ProcessState::kExited;
       managed.info.exit_code = WEXITSTATUS(status);
       managed.reaped = true;
-      events->push_back({pid, ProcessState::kExited, managed.info.exit_code, 0});
+      drop_pidfd_locked(managed);
+      queue_event_locked({pid, ProcessState::kExited, managed.info.exit_code, 0});
       return;
     }
     if (WIFSIGNALED(status)) {
       managed.info.state = ProcessState::kSignalled;
       managed.info.term_signal = WTERMSIG(status);
       managed.reaped = true;
-      events->push_back({pid, ProcessState::kSignalled, 0, managed.info.term_signal});
+      drop_pidfd_locked(managed);
+      queue_event_locked({pid, ProcessState::kSignalled, 0, managed.info.term_signal});
       return;
     }
     if (WIFSTOPPED(status) && managed.info.state == ProcessState::kRunning) {
       managed.info.state = ProcessState::kStopped;
-      events->push_back({pid, ProcessState::kStopped, 0, 0});
+      queue_event_locked({pid, ProcessState::kStopped, 0, 0});
     } else if (WIFCONTINUED(status) &&
                (managed.info.state == ProcessState::kStopped ||
                 managed.info.state == ProcessState::kPausedAtExec)) {
       managed.info.state = ProcessState::kRunning;
-      events->push_back({pid, ProcessState::kRunning, 0, 0});
+      queue_event_locked({pid, ProcessState::kRunning, 0, 0});
     }
   }
 }
 
 std::vector<ProcessEvent> PosixProcessBackend::poll_events() {
+  // Clear first: an event queued after this re-signals, and one queued
+  // before it is in the batch swapped out below.
+  events_.clear();
   LockGuard lock(mutex_);
   for (auto& [pid, managed] : managed_) {
-    if (!managed.reaped) drain_status_locked(pid, &pending_events_);
+    if (!managed.reaped) drain_status_locked(pid);
   }
   std::vector<ProcessEvent> out;
   out.swap(pending_events_);
+  // Everything queued so far is returned; nothing is left to signal.
+  events_.taken();
   return out;
 }
 
 Result<ProcessInfo> PosixProcessBackend::wait_terminal(Pid pid, int timeout_ms) {
+  const EventSource::SignalAtExit signal{events_};
   const Clock& wall = RealClock::instance();
   const bool has_deadline = timeout_ms >= 0;
   const Micros deadline = wall.now_micros() + static_cast<Micros>(timeout_ms) * 1000;
+  // A duplicate of the child's pidfd, so the one polled below stays valid
+  // if another thread reaps the child and closes the original meanwhile.
+  UniqueFd exited;
   while (true) {
     {
       LockGuard lock(mutex_);
       auto found = find_locked(pid);
       if (!found.is_ok()) return found.status();
-      drain_status_locked(pid, &pending_events_);
+      drain_status_locked(pid);
       if (is_terminal(found.value()->info.state)) return found.value()->info;
+      if (!exited.valid() && found.value()->pidfd.valid()) {
+        exited.reset(::fcntl(found.value()->pidfd.get(), F_DUPFD_CLOEXEC, 0));
+      }
     }
-    if (has_deadline && wall.now_micros() >= deadline) {
-      return make_error(ErrorCode::kTimeout, "process did not terminate in time");
+    events_.signal();
+    int wait = -1;
+    if (has_deadline) {
+      const Micros now = wall.now_micros();
+      if (now >= deadline) {
+        return make_error(ErrorCode::kTimeout, "process did not terminate in time");
+      }
+      wait = static_cast<int>((deadline - now + 999) / 1000);
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Without a pidfd the exit is only seen by polling: bound the wait.
+    if (!exited.valid()) wait = wait < 0 ? kTickMs : std::min(wait, kTickMs);
+    wait_readable({exited.get()}, wait);
   }
 }
 

@@ -15,11 +15,18 @@
 // "before the application starts execution", and the difference between
 // the two stop points is observable (libraries not yet loaded) — our tests
 // assert it via /proc/<pid>/comm.
+//
+// Child state changes reach the RM on a descriptor (event_fd): one pidfd
+// per managed child, readable once it exits, plus an eventfd for events a
+// control call queued, all in one epoll set. A pidfd does not report
+// stops and continues, so a third-party SIGSTOP/SIGCONT is seen at the
+// next poll_events() the RM's bounded wait runs anyway.
 #pragma once
 
 #include <map>
 
 #include "proc/backend.hpp"
+#include "util/fd.hpp"
 #include "util/sync.hpp"
 
 namespace tdp::proc {
@@ -38,21 +45,35 @@ class PosixProcessBackend final : public ProcessBackend {
   std::vector<ProcessEvent> poll_events() override;
   Result<ProcessInfo> wait_terminal(Pid pid, int timeout_ms) override;
   std::size_t managed_count() override;
+  /// Built on the first call (backends nobody polls pay nothing); the
+  /// number never changes. -1 if the kernel refuses an epoll or eventfd.
+  [[nodiscard]] int event_fd() const override;
 
  private:
   struct Managed {
     ProcessInfo info;
     bool reaped = false;  ///< waitpid has collected the terminal status
+    UniqueFd pidfd;       ///< in events_ until the child is reaped; -1 if none
   };
 
   /// Reaps pending waitpid statuses for `pid` without blocking; updates the
-  /// registry and appends events. Caller holds mutex_.
-  void drain_status_locked(Pid pid, std::vector<ProcessEvent>* events)
-      TDP_REQUIRES(mutex_);
+  /// registry and queues events. Caller holds mutex_.
+  void drain_status_locked(Pid pid) TDP_REQUIRES(mutex_);
+
+  /// Queues one event for poll_events() and marks event_fd() for signalling.
+  void queue_event_locked(const ProcessEvent& event) TDP_REQUIRES(mutex_);
+
+  /// Takes a child's pidfd out of events_ and closes it.
+  void drop_pidfd_locked(Managed& managed) TDP_REQUIRES(mutex_);
 
   Result<Managed*> find_locked(Pid pid) TDP_REQUIRES(mutex_);
 
-  Mutex mutex_{"PosixBackend::mutex_"};
+  /// event_fd(): the live children's pidfds plus the wake-up for queued
+  /// events. fd()/add/remove/queued/taken run under mutex_, signal and
+  /// clear after it is released (EventSource's own atomics).
+  mutable EventSource events_;
+
+  mutable Mutex mutex_{"PosixBackend::mutex_"};
   std::map<Pid, Managed> managed_ TDP_GUARDED_BY(mutex_);
   std::vector<ProcessEvent> pending_events_ TDP_GUARDED_BY(mutex_);
 };

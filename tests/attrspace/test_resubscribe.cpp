@@ -12,6 +12,7 @@
 // share (backoff_delay_ms, retry_after_hint_ms) are tested at the end.
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <algorithm>
 #include <atomic>
@@ -218,6 +219,51 @@ TEST(AttrClientResubscribe, RearmFailureIsAFailedReconnectAttempt) {
   }
   EXPECT_GT(notifies.load(), 0)
       << "watches were not re-armed on the connection that finally stuck";
+
+  subscriber.value()->exit();
+  writer.value()->exit();
+  server.stop();
+}
+
+// readable_fd() is the daemon's one descriptor: a redial swaps the
+// connection inside it, so a loop that took the number at start-up keeps
+// polling the right thing - and keeps waking on notifies - after a heal.
+TEST(AttrClientResubscribe, ReadableFdSurvivesRedial) {
+  auto inproc = net::InProcTransport::create();
+  attr::AttrServer server("redial-lass", inproc);
+  auto address = server.start("inproc://redial");
+  ASSERT_TRUE(address.is_ok()) << address.status().to_string();
+  auto flaky = std::make_shared<MeteredTransport>(inproc);
+  auto subscriber =
+      attr::AttrClient::connect(*flaky, address.value(), "redial-ctx", fast_retry());
+  ASSERT_TRUE(subscriber.is_ok()) << subscriber.status().to_string();
+  auto writer = attr::AttrClient::connect(*inproc, address.value(), "redial-ctx");
+  ASSERT_TRUE(writer.is_ok()) << writer.status().to_string();
+
+  const int fd = subscriber.value()->readable_fd();
+  ASSERT_GE(fd, 0);
+  std::atomic<int> notifies{0};
+  ASSERT_TRUE(subscriber.value()
+                  ->subscribe("watch.*", [&notifies](const std::string&,
+                                                     const std::string&) { ++notifies; })
+                  .is_ok());
+
+  flaky->kill_dial(1);
+  for (int i = 0; i < 500 && subscriber.value()->reconnects() == 0; ++i) {
+    subscriber.value()->service_events();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_GE(subscriber.value()->reconnects(), 1) << "client never healed";
+  EXPECT_EQ(subscriber.value()->readable_fd(), fd);
+  subscriber.value()->service_events();  // the re-arm acks
+
+  // Dispatch only when the original descriptor says so.
+  for (int i = 0; i < 50 && notifies.load() == 0; ++i) {
+    ASSERT_TRUE(writer.value()->put("watch.after", std::to_string(i)).is_ok());
+    pollfd pfd{fd, POLLIN, 0};
+    if (::poll(&pfd, 1, 100) == 1) subscriber.value()->service_events();
+  }
+  EXPECT_GT(notifies.load(), 0) << "the descriptor never woke for a notify after the redial";
 
   subscriber.value()->exit();
   writer.value()->exit();

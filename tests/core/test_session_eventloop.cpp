@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <poll.h>
+#include <signal.h>
 
+#include <atomic>
 #include <thread>
 
 #include "attrspace/attr_server.hpp"
 #include "core/tdp.hpp"
 #include "net/inproc.hpp"
 #include "net/reactor.hpp"
+#include "proc/posix_backend.hpp"
 #include "proc/sim_backend.hpp"
 
 namespace tdp {
@@ -132,6 +135,60 @@ TEST_F(SessionEventLoopTest, SubscriptionSurvivesManyEvents) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(notifications, kEvents);
+}
+
+// The RM loop's one descriptor covers both of its event sources: a tool's
+// control request (attribute traffic) and a child's exit (the backend's
+// pidfd), so an RM can block on it with no timer tick.
+TEST_F(SessionEventLoopTest, RmEventFdWakesOnControlRequestAndChildExit) {
+  InitOptions options;
+  options.role = Role::kResourceManager;
+  options.lass_address = lass_address_;
+  options.transport = transport_;
+  options.backend = std::make_shared<proc::PosixProcessBackend>();
+  auto rm = TdpSession::init(std::move(options)).value();
+  auto tool = make_session(Role::kTool);
+
+  proc::CreateOptions child;
+  child.argv = {"/bin/sleep", "30"};
+  auto pid = rm->create_process(child);
+  ASSERT_TRUE(pid.is_ok()) << pid.status().to_string();
+  const int fd = rm->event_fd();
+  ASSERT_GE(fd, 0);
+  rm->service_events();
+  struct pollfd pfd{fd, POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 0), 0);
+
+  // A tool's pause travels through the space; only the fd wakes the RM.
+  Status paused;
+  std::atomic<bool> replied{false};
+  std::thread tool_thread([&] {
+    paused = tool->pause_process(pid.value());
+    replied.store(true);
+  });
+  pfd.revents = 0;
+  EXPECT_EQ(::poll(&pfd, 1, 5000), 1) << "control request did not wake the RM";
+  for (int turns = 0; turns < 100 && !replied.load(); ++turns) {
+    pfd.revents = 0;
+    if (::poll(&pfd, 1, 100) == 1) rm->service_events();
+  }
+  tool_thread.join();
+  ASSERT_TRUE(paused.is_ok()) << paused.to_string();
+  rm->service_events();
+
+  // The child dies behind the RM's back; its exit alone wakes the fd.
+  ::kill(static_cast<pid_t>(pid.value()), SIGKILL);
+  pfd.revents = 0;
+  ASSERT_EQ(::poll(&pfd, 1, 5000), 1) << "child exit did not wake the RM";
+  int handled = rm->service_events();
+  for (int turns = 0; handled == 0 && turns < 100; ++turns) {
+    pfd.revents = 0;
+    ::poll(&pfd, 1, 50);
+    handled += rm->service_events();
+  }
+  EXPECT_GE(handled, 1);
+  EXPECT_EQ(rm->process_info(pid.value())->state, proc::ProcessState::kSignalled);
+  EXPECT_EQ(tool->process_info(pid.value())->state, proc::ProcessState::kSignalled);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include "proc/posix_backend.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <fstream>
 #include <thread>
@@ -41,6 +42,12 @@ bool wait_for_proc_state(Pid pid, char expected, int timeout_ms = 2000) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   return read_proc_stat(pid).state == expected;
+}
+
+/// poll(2) on one descriptor: 1 readable, 0 not within `timeout_ms`.
+int poll_readable(int fd, int timeout_ms) {
+  pollfd pfd{fd, POLLIN, 0};
+  return ::poll(&pfd, 1, timeout_ms);
 }
 
 CreateOptions sleep_options(CreateMode mode, const char* seconds = "5") {
@@ -301,6 +308,74 @@ TEST(PosixBackend, ManyConcurrentPausedProcesses) {
     ASSERT_TRUE(final_info.is_ok());
     EXPECT_TRUE(is_terminal(final_info->state));
   }
+}
+
+// --- event_fd: child state changes on a descriptor (Section 3.3) ---
+
+TEST(PosixBackend, EventFdReadableWhenAChildExits) {
+  PosixProcessBackend backend;
+  const int fd = backend.event_fd();
+  ASSERT_GE(fd, 0);
+  EXPECT_EQ(poll_readable(fd, 0), 0);
+  CreateOptions options;
+  options.argv = {"/bin/true"};
+  auto pid = backend.create_process(options);
+  ASSERT_TRUE(pid.is_ok()) << pid.status().to_string();
+
+  // The exit alone makes the descriptor readable: nobody polls for it.
+  ASSERT_EQ(poll_readable(fd, 5000), 1);
+  const std::vector<ProcessEvent> events = backend.poll_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].pid, pid.value());
+  EXPECT_EQ(events[0].state, ProcessState::kExited);
+  EXPECT_EQ(poll_readable(fd, 0), 0) << "still readable after poll_events()";
+  EXPECT_EQ(backend.event_fd(), fd);
+}
+
+TEST(PosixBackend, EventFdReadableAfterPauseUntilPolled) {
+  PosixProcessBackend backend;
+  auto pid = backend.create_process(sleep_options(CreateMode::kRun, "30"));
+  ASSERT_TRUE(pid.is_ok());
+  const int fd = backend.event_fd();
+  backend.poll_events();
+  ASSERT_EQ(poll_readable(fd, 0), 0);
+
+  ASSERT_TRUE(backend.pause_process(pid.value()).is_ok());
+  EXPECT_EQ(poll_readable(fd, 0), 1) << "the queued kStopped event is not signalled";
+  const std::vector<ProcessEvent> events = backend.poll_events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].state, ProcessState::kStopped);
+  EXPECT_EQ(poll_readable(fd, 0), 0);
+
+  // A child killed while stopped still wakes the descriptor.
+  backend.kill_process(pid.value());
+  ASSERT_EQ(poll_readable(fd, 5000), 1);
+  bool saw_signalled = false;
+  for (const auto& event : backend.poll_events()) {
+    if (event.state == ProcessState::kSignalled) saw_signalled = true;
+  }
+  EXPECT_TRUE(saw_signalled);
+  EXPECT_EQ(poll_readable(fd, 0), 0);
+}
+
+TEST(PosixBackend, WaitTerminalOnThePidfd) {
+  PosixProcessBackend backend;
+  auto pid = backend.create_process(sleep_options(CreateMode::kRun, "30"));
+  ASSERT_TRUE(pid.is_ok());
+  auto live = backend.wait_terminal(pid.value(), 30);
+  EXPECT_EQ(live.status().code(), ErrorCode::kTimeout);
+
+  std::thread killer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ::kill(static_cast<pid_t>(pid.value()), SIGKILL);
+  });
+  auto final_info = backend.wait_terminal(pid.value(), 5000);
+  killer.join();
+  ASSERT_TRUE(final_info.is_ok()) << final_info.status().to_string();
+  EXPECT_EQ(final_info->state, ProcessState::kSignalled);
+  EXPECT_EQ(final_info->term_signal, SIGKILL);
+  // The reap's event reached the descriptor too.
+  EXPECT_EQ(poll_readable(backend.event_fd(), 0), 1);
 }
 
 }  // namespace
