@@ -35,6 +35,9 @@
 #                            # TDP_SCALE_10K=1) + flat-vs-tree bench,
 #                            # refreshes BENCH_scale.json and fails on a
 #                            # >10% regression vs the committed copy
+#   scripts/ci.sh perfbench  # builds the end-to-end benchmark from source
+#                            # and runs one short traced control_tcp
+#                            # round; fails unless it reports correct
 #   scripts/ci.sh all        # everything
 set -euo pipefail
 
@@ -349,6 +352,25 @@ sys.exit(1 if failed else 0)
 EOF
 }
 
+run_perfbench() {
+  # perfbench/ builds against src/ but nothing else compiles it, so a src/
+  # change that breaks the benchmark's build would only show at benchmark
+  # time. One short traced round builds it (into .bench_build/) and checks
+  # the run's own correctness verdict on the last line of its output.
+  local out
+  out="$(python3 perfbench/run.py --workload control_tcp --seed 1 \
+           --seconds 10 --trace 1)"
+  printf '%s\n' "$out"
+  printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result.get("correct") is not True:
+    print("perfbench: FAIL - the run did not report correct")
+    sys.exit(1)
+print("perfbench: control_tcp traced round correct")
+'
+}
+
 find_tool() {
   # Prefer an unversioned binary, then recent versioned ones.
   local base="$1" candidate
@@ -447,7 +469,8 @@ case "${1:-release}" in
   bench-scale) run_bench_scale ;;
   bench-flightrec) run_bench_flightrec ;;
   bench-frontdoor) run_bench_frontdoor ;;
-  all)        run_release; run_tsan; run_asan; run_chaos; run_analyze; run_bench; run_bench_wire; run_bench_scale; run_bench_flightrec; run_bench_frontdoor ;;
-  *) echo "usage: $0 [release|tsan|asan|chaos|chaos-kill|analyze|bench|bench-wire|bench-scale|bench-flightrec|all]" >&2
+  perfbench)  run_perfbench ;;
+  all)        run_release; run_tsan; run_asan; run_chaos; run_analyze; run_bench; run_bench_wire; run_bench_scale; run_bench_flightrec; run_bench_frontdoor; run_perfbench ;;
+  *) echo "usage: $0 [release|tsan|asan|chaos|chaos-kill|analyze|bench|bench-wire|bench-scale|bench-flightrec|bench-frontdoor|perfbench|all]" >&2
      exit 2 ;;
 esac

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "attrspace/attr_protocol.hpp"
-#include "net/wire.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
 
@@ -188,9 +187,6 @@ Status AttrClient::init_on_endpoint_locked() {
   const std::uint64_t awaited = next_seq();
   init.set_seq(awaited);
   init.set(field::kContext, context_);
-  // First contact advertises our wire version; the server's reply (or any
-  // later v2 frame from it) upgrades this endpoint's send side.
-  net::advertise_wire_version(*endpoint_, init);
   TDP_RETURN_IF_ERROR(endpoint_->send(init));
   const Clock& wall = RealClock::instance();
   const Micros deadline = wall.now_micros() + 5'000'000;
@@ -218,7 +214,6 @@ Status AttrClient::init_on_endpoint_locked() {
     if (reply.type() != MsgType::kAttrInitReply) {
       return make_error(ErrorCode::kInternal, "bad init reply: " + reply.to_string());
     }
-    net::adopt_advertised_wire_version(*endpoint_, reply);
     return status_from_reply(reply);
   }
   return make_error(ErrorCode::kTimeout, "tdp_init timed out");

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "attrspace/attr_protocol.hpp"
-#include "net/wire.hpp"
 #include "util/log.hpp"
 #include "util/telemetry.hpp"
 
@@ -217,17 +216,12 @@ void AttrServer::handle_message(const MessageView& msg, Connection& conn) {
 
   switch (msg.type()) {
     case MsgType::kAttrInit: {
-      // First contact: adopt the client's wire-version advertisement and
-      // advertise ours back (TCP receive already auto-upgrades on seeing a
-      // v2 frame; the _wv field covers the first-message-is-v1 case).
-      net::adopt_advertised_wire_version(*endpoint, msg);
       int refcount = store_.open_context(context);
       conn.opened_contexts.emplace_back(context);
       Message reply(MsgType::kAttrInitReply);
       reply.set_seq(seq);
       reply.set(field::kStatus, "ok");
       reply.set_int(field::kCount, refcount);
-      net::advertise_wire_version(*endpoint, reply);
       endpoint->send(std::move(reply));
       break;
     }

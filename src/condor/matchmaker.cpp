@@ -93,11 +93,6 @@ std::size_t Matchmaker::machine_count() const {
   return machines_.size();
 }
 
-void Matchmaker::set_indexing(bool enabled) {
-  LockGuard lock(mutex_);
-  indexing_ = enabled;
-}
-
 std::vector<Matchmaker::Match> Matchmaker::negotiate(
     const std::vector<std::pair<JobId, classads::ClassAd>>& idle_jobs,
     const std::set<std::string>& busy) {
@@ -119,37 +114,35 @@ std::vector<Matchmaker::Match> Matchmaker::negotiate(
     bool use_index = false;
     bool impossible = false;
     std::set<std::string> candidates;
-    if (indexing_) {
-      const auto probes =
-          classads::indexable_equalities(job_ad.lookup(classads::ads::kRequirements));
-      for (const classads::IndexableEq& eq : probes) {
-        // A bare (unscoped) name resolves MY-first: it only constrains
-        // the machine when the job ad itself lacks the attribute.
-        if (!eq.target_scoped && job_ad.has(eq.attribute)) continue;
-        const auto key = index_key(eq.value);
-        if (!key.has_value()) continue;
-        std::set<std::string> bucket;
-        if (auto attr_it = index_.find(eq.attribute); attr_it != index_.end()) {
-          if (auto key_it = attr_it->second.find(*key);
-              key_it != attr_it->second.end()) {
-            bucket = key_it->second;
-          }
+    const auto probes =
+        classads::indexable_equalities(job_ad.lookup(classads::ads::kRequirements));
+    for (const classads::IndexableEq& eq : probes) {
+      // A bare (unscoped) name resolves MY-first: it only constrains
+      // the machine when the job ad itself lacks the attribute.
+      if (!eq.target_scoped && job_ad.has(eq.attribute)) continue;
+      const auto key = index_key(eq.value);
+      if (!key.has_value()) continue;
+      std::set<std::string> bucket;
+      if (auto attr_it = index_.find(eq.attribute); attr_it != index_.end()) {
+        if (auto key_it = attr_it->second.find(*key);
+            key_it != attr_it->second.end()) {
+          bucket = key_it->second;
         }
-        if (auto un_it = unindexed_.find(eq.attribute); un_it != unindexed_.end()) {
-          bucket.insert(un_it->second.begin(), un_it->second.end());
+      }
+      if (auto un_it = unindexed_.find(eq.attribute); un_it != unindexed_.end()) {
+        bucket.insert(un_it->second.begin(), un_it->second.end());
+      }
+      if (!use_index) {
+        candidates = std::move(bucket);
+        use_index = true;
+      } else {
+        for (auto it = candidates.begin(); it != candidates.end();) {
+          it = bucket.count(*it) != 0 ? std::next(it) : candidates.erase(it);
         }
-        if (!use_index) {
-          candidates = std::move(bucket);
-          use_index = true;
-        } else {
-          for (auto it = candidates.begin(); it != candidates.end();) {
-            it = bucket.count(*it) != 0 ? std::next(it) : candidates.erase(it);
-          }
-        }
-        if (candidates.empty()) {
-          impossible = true;  // no machine can satisfy this conjunct
-          break;
-        }
+      }
+      if (candidates.empty()) {
+        impossible = true;  // no machine can satisfy this conjunct
+        break;
       }
     }
     if (use_index) {

@@ -68,10 +68,6 @@ class Matchmaker {
   };
   [[nodiscard]] Stats stats() const;
 
-  /// Toggles index pruning (on by default). The bench's full-scan control
-  /// and a safety hatch; results are identical either way.
-  void set_indexing(bool enabled);
-
  private:
   /// Adds `name`'s literal attributes to the inverted index (computed
   /// attributes land in the per-attribute unindexed set).
@@ -82,7 +78,6 @@ class Matchmaker {
   mutable Mutex mutex_{"Matchmaker::mutex_"};
   std::map<std::string, classads::ClassAd> machines_ TDP_GUARDED_BY(mutex_);
   Stats stats_ TDP_GUARDED_BY(mutex_);
-  bool indexing_ TDP_GUARDED_BY(mutex_) = true;
   /// attribute -> canonical value key -> machines advertising that value.
   std::map<std::string, std::map<std::string, std::set<std::string>>> index_
       TDP_GUARDED_BY(mutex_);

@@ -129,22 +129,6 @@ class FaultyEndpoint final : public Endpoint {
     return inner_->peer_address();
   }
 
-  // Wire-version state lives on the wrapped endpoint: the inner transport
-  // is what actually encodes sends and observes received frames, so the
-  // wrapper must not shadow its negotiation.
-  [[nodiscard]] WireVersion wire_version() const noexcept override {
-    return inner_->wire_version();
-  }
-  [[nodiscard]] bool wire_version_pinned() const noexcept override {
-    return inner_->wire_version_pinned();
-  }
-  void pin_wire_version(WireVersion version) noexcept override {
-    inner_->pin_wire_version(version);
-  }
-  void note_peer_wire_version(WireVersion version) noexcept override {
-    inner_->note_peer_wire_version(version);
-  }
-
  private:
   /// Rolls the schedule forward one message; returns false when this
   /// message triggers the forced disconnect.

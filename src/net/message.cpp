@@ -20,17 +20,12 @@ inline std::uint8_t* put_u32(std::uint8_t* p, std::uint32_t v) {
   return p + 4;
 }
 
-inline std::uint8_t* put_u64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
-  return p + 8;
-}
-
 inline std::uint8_t* put_bytes(std::uint8_t* p, const void* data, std::size_t n) {
   if (n != 0) std::memcpy(p, data, n);
   return p + n;
 }
 
-/// LEB128 varint (v2 layout). Sizes and writes agree byte-for-byte so the
+/// LEB128 varint. Sizes and writes agree byte-for-byte so the
 /// two-pass encode (size, then fill) never reallocates.
 inline std::size_t varint_size(std::uint64_t v) noexcept {
   std::size_t n = 1;
@@ -50,7 +45,11 @@ inline std::uint8_t* put_varint(std::uint8_t* p, std::uint64_t v) {
   return p;
 }
 
-/// v2 field tags. Unknown tags are skipped via their body_len - the
+/// Header byte 1: the format's version. A frame carrying any other value
+/// is rejected, like one with the wrong marker or a flag set.
+constexpr std::uint8_t kFormatVersion = 2;
+
+/// Field tags. Unknown tags are skipped via their body_len - the
 /// forward-compatibility rule.
 constexpr std::uint8_t kTagInterned = 0x01;
 constexpr std::uint8_t kTagNamed = 0x02;
@@ -64,22 +63,6 @@ class ByteReader {
     if (size_ - pos_ < 2) return false;
     *v = static_cast<std::uint16_t>(data_[pos_] | (data_[pos_ + 1] << 8));
     pos_ += 2;
-    return true;
-  }
-
-  bool read_u32(std::uint32_t* v) {
-    if (size_ - pos_ < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) *v |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t* v) {
-    if (size_ - pos_ < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) *v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
     return true;
   }
 
@@ -128,7 +111,7 @@ std::int64_t parse_int(std::string_view text, std::int64_t fallback) {
 }
 
 /// Validates the length prefix against the actual frame size and positions
-/// a ByteReader over the payload. Shared by both wire versions.
+/// a ByteReader over the payload.
 Status validate_frame(const std::uint8_t* data, std::size_t size,
                       ByteReader* reader_out) {
   if (size < Message::kLenPrefixSize) {
@@ -145,33 +128,21 @@ Status validate_frame(const std::uint8_t* data, std::size_t size,
   return Status::ok();
 }
 
-/// v1 payload header: u16 type | u64 seq | u16 nfields.
-Status parse_v1_header(ByteReader& reader, std::uint16_t* type_out,
-                       std::uint64_t* seq_out, std::uint64_t* nfields_out) {
-  std::uint16_t nfields = 0;
-  if (!reader.read_u16(type_out) || !reader.read_u64(seq_out) ||
-      !reader.read_u16(&nfields)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated message header");
-  }
-  *nfields_out = nfields;
-  return Status::ok();
-}
-
-/// v2 payload header: u8 marker | u8 version | u8 flags | u16 type |
+/// Payload header: u8 marker | u8 version | u8 flags | u16 type |
 /// varint seq | varint nfields.
-Status parse_v2_header(ByteReader& reader, std::uint16_t* type_out,
-                       std::uint64_t* seq_out, std::uint64_t* nfields_out) {
+Status parse_header(ByteReader& reader, std::uint16_t* type_out,
+                    std::uint64_t* seq_out, std::uint64_t* nfields_out) {
   std::uint8_t marker = 0;
   std::uint8_t version = 0;
   std::uint8_t flags = 0;
   if (!reader.read_u8(&marker) || !reader.read_u8(&version) ||
       !reader.read_u8(&flags)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated v2 header");
+    return make_error(ErrorCode::kInvalidArgument, "truncated header");
   }
   if (marker != kV2Marker) {
-    return make_error(ErrorCode::kInvalidArgument, "missing v2 marker");
+    return make_error(ErrorCode::kInvalidArgument, "missing wire marker");
   }
-  if (version != static_cast<std::uint8_t>(WireVersion::kV2)) {
+  if (version != kFormatVersion) {
     return make_error(ErrorCode::kInvalidArgument, "unsupported wire version");
   }
   if (flags != 0) {
@@ -179,37 +150,32 @@ Status parse_v2_header(ByteReader& reader, std::uint16_t* type_out,
   }
   if (!reader.read_u16(type_out) || !reader.read_varint(seq_out) ||
       !reader.read_varint(nfields_out)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated v2 header");
-  }
-  // The 0xFD row of the type space is reserved so payload[0] can mark v2
-  // frames; a type from that row could never re-encode as v1.
-  if ((*type_out & 0xFF) == kV2Marker) {
-    return make_error(ErrorCode::kInvalidArgument, "reserved message type");
+    return make_error(ErrorCode::kInvalidArgument, "truncated header");
   }
   // Each encoded field is at least tag + body_len = 2 bytes, so a count
   // exceeding the remaining payload is corrupt (guards reserve() against
   // a hostile varint).
   if (*nfields_out > reader.remaining()) {
-    return make_error(ErrorCode::kInvalidArgument, "v2 field count exceeds payload");
+    return make_error(ErrorCode::kInvalidArgument, "field count exceeds payload");
   }
   return Status::ok();
 }
 
-/// Parses one v2 field. On success either yields key/value views or sets
+/// Parses one field. On success either yields key/value views or sets
 /// `skipped` (unknown tag or unregistered interned id - the
 /// skip-unknown-fields rule). Interned keys view the static registry, so
 /// they outlive any buffer.
-Status parse_v2_field(ByteReader& reader, std::string_view* key,
-                      std::string_view* value, bool* skipped) {
+Status parse_field(ByteReader& reader, std::string_view* key,
+                   std::string_view* value, bool* skipped) {
   std::uint8_t tag = 0;
   std::uint64_t body_len = 0;
   if (!reader.read_u8(&tag) || !reader.read_varint(&body_len)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated v2 field header");
+    return make_error(ErrorCode::kInvalidArgument, "truncated field header");
   }
   std::string_view body;
   if (body_len > reader.remaining() ||
       !reader.read_view(static_cast<std::size_t>(body_len), &body)) {
-    return make_error(ErrorCode::kInvalidArgument, "truncated v2 field body");
+    return make_error(ErrorCode::kInvalidArgument, "truncated field body");
   }
   ByteReader body_reader(reinterpret_cast<const std::uint8_t*>(body.data()),
                          body.size());
@@ -291,9 +257,9 @@ std::int64_t Message::get_int(std::string_view key, std::int64_t fallback) const
 
 namespace {
 
-/// Size of one v2 field body (without tag and body_len prefix). Sets
+/// Size of one field body (without tag and body_len prefix). Sets
 /// `interned_id` when the key is in the registry.
-inline std::size_t v2_field_body_size(const Message::Field& field,
+inline std::size_t field_body_size(const Message::Field& field,
                                       std::uint16_t* interned_id) {
   if (wire_field_id(field.key, interned_id)) {
     return 2 + field.value.size();
@@ -304,50 +270,31 @@ inline std::size_t v2_field_body_size(const Message::Field& field,
 
 }  // namespace
 
-std::size_t Message::encoded_size(WireVersion version) const noexcept {
-  if (version == WireVersion::kV1) {
-    std::size_t size = kLenPrefixSize + 2 + 8 + 2;
-    for (const Field& field : fields_) {
-      size += 2 + field.key.size() + 4 + field.value.size();
-    }
-    return size;
-  }
+std::size_t Message::encoded_size(WireVersion) const noexcept {
   std::size_t size = kLenPrefixSize + 3 + 2 + varint_size(seq_) +
                      varint_size(fields_.size());
   for (const Field& field : fields_) {
     std::uint16_t id = 0;
-    const std::size_t body = v2_field_body_size(field, &id);
+    const std::size_t body = field_body_size(field, &id);
     size += 1 + varint_size(body) + body;
   }
   return size;
 }
 
-void Message::encode_into(std::vector<std::uint8_t>& out, WireVersion version) const {
-  const std::size_t total = encoded_size(version);
+void Message::encode_into(std::vector<std::uint8_t>& out, WireVersion) const {
+  const std::size_t total = encoded_size();
   out.resize(total);
   std::uint8_t* p = out.data();
   p = put_u32(p, static_cast<std::uint32_t>(total - kLenPrefixSize));
-  if (version == WireVersion::kV1) {
-    p = put_u16(p, static_cast<std::uint16_t>(type_));
-    p = put_u64(p, seq_);
-    p = put_u16(p, static_cast<std::uint16_t>(fields_.size()));
-    for (const Field& field : fields_) {
-      p = put_u16(p, static_cast<std::uint16_t>(field.key.size()));
-      p = put_bytes(p, field.key.data(), field.key.size());
-      p = put_u32(p, static_cast<std::uint32_t>(field.value.size()));
-      p = put_bytes(p, field.value.data(), field.value.size());
-    }
-    return;
-  }
   *p++ = kV2Marker;
-  *p++ = static_cast<std::uint8_t>(WireVersion::kV2);
+  *p++ = kFormatVersion;
   *p++ = 0;  // flags, reserved
   p = put_u16(p, static_cast<std::uint16_t>(type_));
   p = put_varint(p, seq_);
   p = put_varint(p, fields_.size());
   for (const Field& field : fields_) {
     std::uint16_t id = 0;
-    const std::size_t body = v2_field_body_size(field, &id);
+    const std::size_t body = field_body_size(field, &id);
     if (id != 0) {
       *p++ = kTagInterned;
       p = put_varint(p, body);
@@ -362,9 +309,9 @@ void Message::encode_into(std::vector<std::uint8_t>& out, WireVersion version) c
   }
 }
 
-std::vector<std::uint8_t> Message::encode(WireVersion version) const {
+std::vector<std::uint8_t> Message::encode() const {
   std::vector<std::uint8_t> out;
-  encode_into(out, version);
+  encode_into(out);
   return out;
 }
 
@@ -375,41 +322,21 @@ std::uint32_t Message::peek_length(const std::uint8_t* prefix) noexcept {
          (static_cast<std::uint32_t>(prefix[3]) << 24);
 }
 
-WireVersion Message::detect_version(const std::uint8_t* data,
-                                    std::size_t size) noexcept {
-  if (size <= kLenPrefixSize) return WireVersion::kV1;
-  return data[kLenPrefixSize] == kV2Marker ? WireVersion::kV2 : WireVersion::kV1;
-}
-
 Result<Message> Message::decode(const std::uint8_t* data, std::size_t size) {
   ByteReader reader(nullptr, 0);
   TDP_RETURN_IF_ERROR(validate_frame(data, size, &reader));
-  const WireVersion version = detect_version(data, size);
   std::uint16_t type_raw = 0;
   std::uint64_t seq = 0;
   std::uint64_t nfields = 0;
-  if (version == WireVersion::kV1) {
-    TDP_RETURN_IF_ERROR(parse_v1_header(reader, &type_raw, &seq, &nfields));
-  } else {
-    TDP_RETURN_IF_ERROR(parse_v2_header(reader, &type_raw, &seq, &nfields));
-  }
+  TDP_RETURN_IF_ERROR(parse_header(reader, &type_raw, &seq, &nfields));
   Message msg(static_cast<MsgType>(type_raw));
   msg.set_seq(seq);
   msg.fields_.reserve(static_cast<std::size_t>(nfields));
   for (std::uint64_t i = 0; i < nfields; ++i) {
     std::string_view key, value;
-    if (version == WireVersion::kV1) {
-      std::uint16_t klen = 0;
-      std::uint32_t vlen = 0;
-      if (!reader.read_u16(&klen) || !reader.read_view(klen, &key) ||
-          !reader.read_u32(&vlen) || !reader.read_view(vlen, &value)) {
-        return make_error(ErrorCode::kInvalidArgument, "truncated message field");
-      }
-    } else {
-      bool skipped = false;
-      TDP_RETURN_IF_ERROR(parse_v2_field(reader, &key, &value, &skipped));
-      if (skipped) continue;
-    }
+    bool skipped = false;
+    TDP_RETURN_IF_ERROR(parse_field(reader, &key, &value, &skipped));
+    if (skipped) continue;
     // set() keeps keys unique: duplicate wire keys merge, last wins.
     msg.set(std::string(key), std::string(value));
   }
@@ -442,32 +369,18 @@ bool operator==(const Message& a, const Message& b) {
 Status MessageView::parse(const std::uint8_t* data, std::size_t size) {
   ByteReader reader(nullptr, 0);
   TDP_RETURN_IF_ERROR(validate_frame(data, size, &reader));
-  const WireVersion version = Message::detect_version(data, size);
   std::uint16_t type_raw = 0;
   std::uint64_t seq = 0;
   std::uint64_t nfields = 0;
-  if (version == WireVersion::kV1) {
-    TDP_RETURN_IF_ERROR(parse_v1_header(reader, &type_raw, &seq, &nfields));
-  } else {
-    TDP_RETURN_IF_ERROR(parse_v2_header(reader, &type_raw, &seq, &nfields));
-  }
+  TDP_RETURN_IF_ERROR(parse_header(reader, &type_raw, &seq, &nfields));
   fields_.clear();
   owned_ = Message();
   fields_.reserve(static_cast<std::size_t>(nfields));
   for (std::uint64_t i = 0; i < nfields; ++i) {
     FieldView field;
-    if (version == WireVersion::kV1) {
-      std::uint16_t klen = 0;
-      std::uint32_t vlen = 0;
-      if (!reader.read_u16(&klen) || !reader.read_view(klen, &field.key) ||
-          !reader.read_u32(&vlen) || !reader.read_view(vlen, &field.value)) {
-        return make_error(ErrorCode::kInvalidArgument, "truncated message field");
-      }
-    } else {
-      bool skipped = false;
-      TDP_RETURN_IF_ERROR(parse_v2_field(reader, &field.key, &field.value, &skipped));
-      if (skipped) continue;
-    }
+    bool skipped = false;
+    TDP_RETURN_IF_ERROR(parse_field(reader, &field.key, &field.value, &skipped));
+    if (skipped) continue;
     fields_.push_back(field);
   }
   if (!reader.exhausted()) {
@@ -475,7 +388,6 @@ Status MessageView::parse(const std::uint8_t* data, std::size_t size) {
   }
   type_ = static_cast<MsgType>(type_raw);
   seq_ = seq;
-  wire_version_ = version;
   return Status::ok();
 }
 
@@ -483,7 +395,6 @@ void MessageView::adopt(Message msg) {
   owned_ = std::move(msg);
   type_ = owned_.type();
   seq_ = owned_.seq();
-  wire_version_ = WireVersion::kV1;
   fields_.clear();
   fields_.reserve(owned_.fields().size());
   for (const Message::Field& field : owned_.fields()) {

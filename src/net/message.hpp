@@ -6,9 +6,8 @@
 // and a string->string field table, reflecting the paper's decision to keep
 // all exchanged data as null-terminated strings (Section 3.2).
 //
-// Wire format (little-endian):
-//   u32 payload_len | u16 type | u64 seq | u16 nfields |
-//   repeat nfields: u16 key_len, key bytes, u32 val_len, val bytes
+// Wire format: a little-endian u32 payload_len, then the payload laid out
+// in net/wire.hpp.
 //
 // Fast-path notes:
 //   * Fields live in a small flat vector in insertion order. Messages carry
@@ -34,10 +33,6 @@ namespace tdp::net {
 
 /// Message type codes. One flat space keeps the framing layer protocol-
 /// agnostic; each subsystem uses its own contiguous range.
-///
-/// Reserved: values whose low byte is 0xFD (253, 509, 765, ...) must never
-/// be assigned - payload byte 0 distinguishes v1 frames (type low byte)
-/// from v2 frames (wire marker 0xFD, see net/wire.hpp).
 enum class MsgType : std::uint16_t {
   kInvalid = 0,
 
@@ -146,33 +141,28 @@ class Message {
   /// Pre-sizes the field table (batch builders).
   void reserve_fields(std::size_t n) { fields_.reserve(n); }
 
-  /// Serializes to the wire format described in the header comment (v1)
-  /// or the compact v2 layout (net/wire.hpp).
-  [[nodiscard]] std::vector<std::uint8_t> encode(
-      WireVersion version = WireVersion::kV1) const;
+  /// Serializes to the wire format (net/wire.hpp).
+  [[nodiscard]] std::vector<std::uint8_t> encode() const;
 
   /// Serializes into `out`, reusing its capacity (out is overwritten).
-  /// Steady-state senders with a warm buffer allocate nothing in either
-  /// version.
+  /// Steady-state senders with a warm buffer allocate nothing. The ignored
+  /// WireVersion parameter is kept for perfbench/layers.cpp until the next
+  /// benchmark change drops it.
   void encode_into(std::vector<std::uint8_t>& out,
-                   WireVersion version = WireVersion::kV1) const;
+                   WireVersion = WireVersion::kV2) const;
 
-  /// Exact frame size encode(version) would produce (prefix included).
+  /// Exact frame size encode() would produce (prefix included). The
+  /// ignored parameter is kept for perfbench/decorators.cpp.
   [[nodiscard]] std::size_t encoded_size(
-      WireVersion version = WireVersion::kV1) const noexcept;
+      WireVersion = WireVersion::kV2) const noexcept;
 
-  /// Decodes a full frame (including the u32 length prefix), auto-detecting
-  /// v1 vs v2 (payload byte 0 == wire::kV2Marker). Returns kInvalidArgument
-  /// on truncated or malformed input. Duplicate keys on the wire merge
-  /// (last occurrence wins), matching set() semantics. v2 fields with an
-  /// unknown tag or an unregistered field id are skipped (the
-  /// skip-unknown-fields rule; see DESIGN.md §13).
+  /// Decodes a full frame (including the u32 length prefix). Returns
+  /// kInvalidArgument on truncated or malformed input, including a payload
+  /// that does not start with the marker, version and flags bytes.
+  /// Duplicate keys on the wire merge (last occurrence wins), matching
+  /// set() semantics. Fields with an unknown tag or an unregistered field
+  /// id are skipped (the skip-unknown-fields rule; see DESIGN.md §13).
   static Result<Message> decode(const std::uint8_t* data, std::size_t size);
-
-  /// Wire version a full frame claims to be (inspects the payload marker
-  /// byte). Frames shorter than prefix+1 report kV1.
-  static WireVersion detect_version(const std::uint8_t* data,
-                                    std::size_t size) noexcept;
 
   /// Reads the payload length from a 4-byte prefix.
   static std::uint32_t peek_length(const std::uint8_t* prefix) noexcept;
@@ -212,16 +202,12 @@ class MessageView {
 
   MessageView() = default;
 
-  /// Parses a full frame (length prefix included) in place, auto-detecting
-  /// v1 vs v2. The buffer must outlive the view. Same validation as
-  /// Message::decode; duplicate wire keys are kept (lookups return the last
-  /// occurrence, matching decode()). v2 interned keys view the static
-  /// registry string, so they are zero-copy too.
+  /// Parses a full frame (length prefix included) in place. The buffer
+  /// must outlive the view. Same validation as Message::decode; duplicate
+  /// wire keys are kept (lookups return the last occurrence, matching
+  /// decode()). Interned keys view the static registry string, so they are
+  /// zero-copy too.
   Status parse(const std::uint8_t* data, std::size_t size);
-
-  /// Wire version of the last successfully parsed frame (kV1 after
-  /// adopt(), which never saw bytes).
-  [[nodiscard]] WireVersion wire_version() const noexcept { return wire_version_; }
 
   /// Takes ownership of a decoded message (transports that queue Message
   /// objects instead of bytes) and exposes it through the same interface.
@@ -247,7 +233,6 @@ class MessageView {
  private:
   MsgType type_ = MsgType::kInvalid;
   std::uint64_t seq_ = 0;
-  WireVersion wire_version_ = WireVersion::kV1;
   std::vector<FieldView> fields_;
   Message owned_;  ///< backing storage for adopt(); empty after parse()
 };

@@ -13,8 +13,8 @@ const log::Logger kLog("proxy");
 
 // Frames relayed in either direction, across all tunnels. Since PR 6 the
 // pumps move raw frames (send_frame/receive_frame) without decoding, so
-// trace headers, unknown fields, and the sender's wire version all pass
-// through byte-identical - and the relay never pays a field-table parse.
+// trace headers and unknown fields pass through byte-identical - and the
+// relay never pays a field-table parse.
 telemetry::Counter& relayed_counter() {
   static telemetry::Counter& c =
       telemetry::Registry::instance().counter("proxy.frames_relayed");
@@ -145,9 +145,6 @@ void ProxyServer::handle_connection_shared(std::shared_ptr<Endpoint> client) {
     auto it = services_.find(service);
     if (it != services_.end()) target = it->second;
   }
-  // The handshake stays version-neutral (plain v1): the proxy cannot speak
-  // for the upstream's capabilities. End-to-end negotiation rides the
-  // application's first messages, which the raw-frame pumps relay verbatim.
   Message reply(MsgType::kProxyConnectReply);
   if (target.empty()) {
     reply.set("status", "error").set("error", "unknown service: " + service);

@@ -95,15 +95,14 @@ class TcpEndpoint final : public Endpoint {
     LockGuard lock(send_mutex_);
     // Encode into the reused per-endpoint buffer: steady-state senders pay
     // one resize into warm capacity instead of an allocation per message.
-    // The version is whatever negotiation has established by now.
-    msg.encode_into(send_buf_, wire_version());
+    msg.encode_into(send_buf_);
     return send_bytes_locked(send_buf_.data(), send_buf_.size());
   }
 
   Status send_frame(const std::uint8_t* data, std::size_t size) override {
     LockGuard lock(send_mutex_);
-    // Relay fast path: the frame is already encoded (in whatever version
-    // its original sender chose); write it through verbatim.
+    // Relay fast path: the frame is already encoded; write it through
+    // verbatim.
     return send_bytes_locked(data, size);
   }
 
@@ -115,7 +114,6 @@ class TcpEndpoint final : public Endpoint {
     // re-delivered to the next receive call (consumption is lazy, so the
     // bytes stay readable through this call).
     consume_ = frame_size.value();
-    TDP_RETURN_IF_ERROR(note_frame_version(buffer_.data(), consume_));
     return Message::decode(buffer_.data(), consume_);
   }
 
@@ -124,7 +122,6 @@ class TcpEndpoint final : public Endpoint {
     auto frame_size = await_frame(timeout_ms);
     if (!frame_size.is_ok()) return frame_size.status();
     consume_ = frame_size.value();
-    TDP_RETURN_IF_ERROR(note_frame_version(buffer_.data(), consume_));
     // The view borrows buffer_; the frame is consumed lazily at the next
     // receive call, which is what keeps this zero-copy.
     return view->parse(buffer_.data(), consume_);
@@ -198,21 +195,6 @@ class TcpEndpoint final : public Endpoint {
       }
       return errno_status(ErrorCode::kConnectionError, "send");
     }
-    return Status::ok();
-  }
-
-  /// A received v2 frame is proof the peer speaks v2: upgrade our send
-  /// side. A pinned-v1 endpoint emulates a genuine old daemon, which would
-  /// misparse the frame - reject it the way that daemon's decoder would.
-  Status note_frame_version(const std::uint8_t* data, std::size_t size) {
-    if (Message::detect_version(data, size) != WireVersion::kV2) {
-      return Status::ok();
-    }
-    if (wire_version_pinned() && wire_version() == WireVersion::kV1) {
-      return make_error(ErrorCode::kInvalidArgument,
-                        "v2 frame received by a v1-only endpoint");
-    }
-    note_peer_wire_version(WireVersion::kV2);
     return Status::ok();
   }
 

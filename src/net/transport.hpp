@@ -15,7 +15,6 @@
 // activity on a descriptor, so the daemon would return from the poll".
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -26,15 +25,9 @@
 
 namespace tdp::net {
 
-/// One side of an established, bidirectional message channel.
-///
-/// Wire-version negotiation (DESIGN.md §13): every endpoint starts sending
-/// v1 and always accepts both versions on receive. When the peer proves v2
-/// support - by sending a v2 frame, or via the _wv advertisement riding its
-/// first v1 message - note_peer_wire_version() flips the send side to v2.
-/// pin_wire_version(kV1) freezes an endpoint as a genuine old daemon for
-/// rolling-upgrade interop tests: it never advertises, never upgrades, and
-/// rejects inbound v2 frames the way a real v1 build would.
+/// One side of an established, bidirectional message channel. Every
+/// endpoint sends and accepts the one wire format (net/wire.hpp) from its
+/// first frame.
 class Endpoint {
  public:
   virtual ~Endpoint() = default;
@@ -43,36 +36,15 @@ class Endpoint {
   Endpoint(const Endpoint&) = delete;
   Endpoint& operator=(const Endpoint&) = delete;
 
-  /// Version this endpoint currently encodes outbound messages with.
-  /// Virtual so decorating transports (fault injection) can delegate the
-  /// negotiation state to the endpoint they wrap.
+  // The four wire-version members below are constant and stateless. They
+  // exist only because perfbench/decorators.cpp overrides them, until the
+  // next benchmark change drops those overrides.
   [[nodiscard]] virtual WireVersion wire_version() const noexcept {
-    return static_cast<WireVersion>(send_version_.load(std::memory_order_relaxed));
+    return WireVersion::kV2;
   }
-
-  /// True when the version was pinned and negotiation is disabled.
-  [[nodiscard]] virtual bool wire_version_pinned() const noexcept {
-    return pinned_.load(std::memory_order_relaxed);
-  }
-
-  /// Forces the send version and disables negotiation (tests, rollback).
-  virtual void pin_wire_version(WireVersion version) noexcept {
-    send_version_.store(static_cast<std::uint8_t>(version),
-                        std::memory_order_relaxed);
-    pinned_.store(true, std::memory_order_relaxed);
-  }
-
-  /// Records proof that the peer decodes `version`; upgrades the send side
-  /// unless pinned. Called by transports on inbound v2 frames and by
-  /// adopt_advertised_wire_version().
-  virtual void note_peer_wire_version(WireVersion version) noexcept {
-    if (pinned_.load(std::memory_order_relaxed)) return;
-    const auto v = static_cast<std::uint8_t>(version);
-    std::uint8_t cur = send_version_.load(std::memory_order_relaxed);
-    while (cur < v &&
-           !send_version_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
+  [[nodiscard]] virtual bool wire_version_pinned() const noexcept { return false; }
+  virtual void pin_wire_version(WireVersion) noexcept {}
+  virtual void note_peer_wire_version(WireVersion) noexcept {}
 
   /// Sends a message; blocks only for transient flow control.
   virtual Status send(const Message& msg) = 0;
@@ -113,12 +85,12 @@ class Endpoint {
 
   /// Receives the next frame as raw bytes (length prefix included) into
   /// `frame`, reusing its capacity. The default re-encodes a received
-  /// Message, preserving its wire version when the transport saw bytes.
-  /// Same timeout semantics and single-reader assumption as receive().
+  /// Message. Same timeout semantics and single-reader assumption as
+  /// receive().
   virtual Status receive_frame(int timeout_ms, std::vector<std::uint8_t>* frame) {
     auto msg = receive(timeout_ms);
     if (!msg.is_ok()) return msg.status();
-    msg.value().encode_into(*frame, wire_version());
+    msg.value().encode_into(*frame);
     return Status::ok();
   }
 
@@ -140,11 +112,6 @@ class Endpoint {
 
   /// Address of the remote side, for diagnostics.
   [[nodiscard]] virtual std::string peer_address() const = 0;
-
- private:
-  std::atomic<std::uint8_t> send_version_{
-      static_cast<std::uint8_t>(WireVersion::kV1)};
-  std::atomic<bool> pinned_{false};
 };
 
 /// A bound, accepting server socket.

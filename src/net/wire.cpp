@@ -4,23 +4,22 @@
 #include <unordered_map>
 #include <vector>
 
-#include "net/message.hpp"
-#include "net/transport.hpp"
-
 namespace tdp::net {
 
 namespace {
 
 /// The interned key table, in id order starting at id 1 (id 0 is reserved
-/// as "no id"). Wire format: APPEND ONLY - renumbering breaks mixed-version
-/// pools mid-upgrade. The batch slots k0..k31 / v0..v31 are appended
-/// programmatically after this list.
+/// as "no id"). Wire format: APPEND ONLY - renumbering changes what every
+/// encoded frame means. A nullptr entry is a retired id: it keeps its
+/// number, maps to no key, and a reader skips a field that carries it. The
+/// batch slots k0..k31 / v0..v31 are appended programmatically after this
+/// list.
 constexpr const char* kWellKnownKeys[] = {
     // attrspace protocol fields (attr_protocol.hpp)
     "ctx", "attr", "value", "status", "error", "block", "pattern", "sub_id",
     "count", "bid",
     // reserved cross-cutting fields
-    "_tc", "_wv",
+    "_tc", nullptr,  // id 12: retired (a version advert no sender emits)
     // proxy / process-control / ping payloads
     "service", "payload", "cmd",
     // standard attribute names that double as message fields
@@ -49,7 +48,13 @@ struct Registry {
     by_id.reserve(total);
     by_key.reserve(total);
     by_id.emplace_back();  // id 0 = "no id"
-    for (const char* key : kWellKnownKeys) add(key);
+    for (const char* key : kWellKnownKeys) {
+      if (key == nullptr) {
+        by_id.emplace_back();  // retired: wire_field_name() returns empty
+        continue;
+      }
+      add(key);
+    }
     for (std::size_t i = 0; i < kBatchSlots; ++i) {
       add("k" + std::to_string(i));
       add("v" + std::to_string(i));
@@ -84,30 +89,5 @@ std::string_view wire_field_name(std::uint16_t id) {
 }
 
 std::size_t wire_field_registry_size() { return registry().by_id.size(); }
-
-void advertise_wire_version(const Endpoint& endpoint, Message& msg) {
-  if (endpoint.wire_version_pinned()) return;
-  msg.set(kWireVersionField, "2");
-}
-
-namespace {
-void adopt_impl(Endpoint& endpoint, std::string_view advertised) {
-  // Numeric compare, not lexicographic: a future "10" still means >= 2.
-  int version = 0;
-  for (char c : advertised) {
-    if (c < '0' || c > '9' || version > 1000) return;  // not a version
-    version = version * 10 + (c - '0');
-  }
-  if (version >= 2) endpoint.note_peer_wire_version(WireVersion::kV2);
-}
-}  // namespace
-
-void adopt_advertised_wire_version(Endpoint& endpoint, const MessageView& msg) {
-  adopt_impl(endpoint, msg.get(kWireVersionField));
-}
-
-void adopt_advertised_wire_version(Endpoint& endpoint, const Message& msg) {
-  adopt_impl(endpoint, msg.get_view(kWireVersionField));
-}
 
 }  // namespace tdp::net

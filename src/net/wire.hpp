@@ -1,13 +1,10 @@
-// wire.hpp - wire format versioning and the v2 field-id registry (PR 6).
+// wire.hpp - the wire format and its field-id registry.
 //
 // The paper keeps all exchanged data as null-terminated strings
-// (Section 3.2); v1 of our framing inherited that shape with string keys
-// repeated on every message. v2 keeps the same Message API and the same
-// u32 length prefix, but encodes compactly:
+// (Section 3.2). Every frame keeps that shape - a string->string field
+// table - but encodes it compactly behind a u32 length prefix:
 //
-//   v1 payload: u16 type | u64 seq | u16 nfields |
-//               { u16 klen, key, u32 vlen, value }*
-//   v2 payload: u8 0xFD | u8 version(=2) | u8 flags(=0) | u16 type |
+//   payload:    u8 0xFD | u8 version(=2) | u8 flags(=0) | u16 type |
 //               varint seq | varint nfields | field*
 //   field:      u8 tag | varint body_len | body
 //     tag 0x01 (interned): body = u16 field_id | value bytes
@@ -15,11 +12,8 @@
 //     any other tag:       skipped (body_len makes every field
 //                          self-delimiting - the skip-unknown-fields rule)
 //
-// Version detection: v1 frames start with the u16 message type, and no
-// MsgType has a low byte of 0xFD (that row of the type space is reserved),
-// so payload[0] == 0xFD unambiguously marks a v2 frame. Decoders accept
-// both; what a sender may EMIT is negotiated - see WireVersion below and
-// DESIGN.md §13 for the rolling-upgrade rule.
+// The marker, version and flags bytes are the header check: a frame whose
+// first three payload bytes are not exactly 0xFD 0x02 0x00 is rejected.
 //
 // The field-id registry interns the well-known keys (attrspace protocol
 // fields, the _tc trace header, batch k<i>/v<i> slots, liveness/telemetry
@@ -34,25 +28,14 @@
 
 namespace tdp::net {
 
-class Endpoint;
-class Message;
-class MessageView;
-
-/// Frame encodings a sender can emit. Receivers always accept both.
+/// The one frame encoding. Kept as a type only for perfbench/decorators.cpp
+/// and layers.cpp, until the next benchmark change drops those uses.
 enum class WireVersion : std::uint8_t {
-  kV1 = 1,  ///< string-keyed (seed format)
-  kV2 = 2,  ///< interned field ids, varint lengths, skip-unknown fields
+  kV2 = 2,
 };
 
-/// payload[0] of every v2 frame. v1 message types with this low byte are
-/// reserved (none exist; see MsgType).
+/// payload[0] of every frame.
 inline constexpr std::uint8_t kV2Marker = 0xFD;
-
-/// Reserved v1 field key carrying a sender's wire-version advertisement
-/// ("2"). Rides the first message of a protocol exchange (tdp_init, proxy
-/// hello, paradynd hello, condor claim) exactly like the _tc trace field:
-/// v1 readers skip it as an unknown string field, v2 readers adopt it.
-inline constexpr const char* kWireVersionField = "_wv";
 
 /// Looks up the interned id for a field key. Returns true and sets `id`
 /// when the key is in the registry.
@@ -64,18 +47,5 @@ std::string_view wire_field_name(std::uint16_t id);
 
 /// Number of registered ids (test surface; also the next free id).
 std::size_t wire_field_registry_size();
-
-// --- negotiation helpers -------------------------------------------------
-
-/// Stamps the _wv advertisement on a first-contact message, unless the
-/// endpoint was pinned to v1 (a pinned endpoint emulates a genuine old
-/// daemon and must not claim v2 support).
-void advertise_wire_version(const Endpoint& endpoint, Message& msg);
-
-/// Reads a peer's _wv advertisement (if any) and upgrades the endpoint's
-/// send version accordingly. Call on the first message of an exchange;
-/// harmless on every message.
-void adopt_advertised_wire_version(Endpoint& endpoint, const MessageView& msg);
-void adopt_advertised_wire_version(Endpoint& endpoint, const Message& msg);
 
 }  // namespace tdp::net

@@ -1,7 +1,6 @@
 #include "paradyn/frontend.hpp"
 
 #include "attrspace/attr_protocol.hpp"
-#include "net/wire.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
 
@@ -112,9 +111,6 @@ void Frontend::serve_daemon(std::shared_ptr<net::Endpoint> endpoint) {
     const net::Message& msg = received.value();
     switch (msg.type()) {
       case net::MsgType::kParadynHello: {
-        // A daemon's hello carries its wire-version advertisement; adopt it
-        // so our replies speak the newest version both sides decode.
-        net::adopt_advertised_wire_version(*endpoint, msg);
         pid = msg.get_int("pid");
         LockGuard lock(mutex_);
         daemons_[pid] = endpoint;

@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "net/proxy.hpp"
-#include "net/wire.hpp"
 #include "util/clock.hpp"
 #include "util/fd.hpp"
 #include "util/log.hpp"
@@ -76,8 +75,15 @@ Status Paradynd::start() {
     kLog.warn("no front-end connection: ", frontend_status.to_string());
   }
 
-  // Figure 6 step 4 end: run the application from the very beginning.
-  TDP_RETURN_IF_ERROR(session_->continue_process(app_pid_));
+  // Figure 6 step 4 end: run the application from the very beginning. A
+  // short job can run to completion before the reply arrives, and its
+  // starter then stops the LASS. A lost LASS is the job's end (see
+  // poll_once()), so the daemon still starts and run() sends the final
+  // report.
+  Status continued = session_->continue_process(app_pid_);
+  if (!continued.is_ok() && continued.code() != ErrorCode::kConnectionError) {
+    return continued;
+  }
 
   // Self-hosted telemetry: the RT exports its registry into the job's
   // LASS over its own session, batched per interval.
@@ -170,7 +176,6 @@ Status Paradynd::connect_frontend() {
   frontend_ = std::move(endpoint).value();
 
   net::Message hello(net::MsgType::kParadynHello);
-  net::advertise_wire_version(*frontend_, hello);
   hello.set("daemon", config_.daemon_name);
   hello.set_int("pid", app_pid_);
   hello.set("executable", executable_);

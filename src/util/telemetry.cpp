@@ -359,7 +359,7 @@ namespace {
 // One span inside a block payload, little-endian:
 //   u32 name_len | name | u32 role_len | role |
 //   u64 trace | u64 span | u64 parent | i64 start_us | i64 end_us
-// Length-delimited like the wire's v2 fields, so a reader that trusts the
+// Length-delimited like the wire's fields, so a reader that trusts the
 // block CRC can slice records without a terminator scan.
 
 void put_u32(std::string* out, std::uint32_t v) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "attrspace/attr_client.hpp"
+#include "attrspace/attr_server.hpp"
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
 
@@ -178,6 +180,46 @@ TEST(Proxy, WorksOverTcpToo) {
 
   echo_thread.join();
   proxy.stop();
+}
+
+TEST(Proxy, AttrSessionThroughRawRelay) {
+  // Full stack: attr server upstream, proxy in the middle, two clients of
+  // one context. The pumps relay raw frames without decoding them, so
+  // init, puts, parked gets and their replies all cross byte-identical.
+  auto transport = std::make_shared<TcpTransport>();
+  attr::AttrServer server("CASS", transport);
+  auto server_addr = server.start(":0");
+  ASSERT_TRUE(server_addr.is_ok());
+
+  ProxyServer proxy(transport);
+  proxy.register_service("cass", server_addr.value());
+  auto proxy_addr = proxy.start(":0");
+  ASSERT_TRUE(proxy_addr.is_ok());
+
+  auto connect = [&]() -> Result<std::unique_ptr<attr::AttrClient>> {
+    auto endpoint = proxy_connect(*transport, proxy_addr.value(), "cass");
+    if (!endpoint.is_ok()) return endpoint.status();
+    return attr::AttrClient::adopt(std::move(endpoint).value(), "job-1");
+  };
+  auto writer = connect();
+  ASSERT_TRUE(writer.is_ok());
+  auto reader = connect();
+  ASSERT_TRUE(reader.is_ok());
+
+  ASSERT_TRUE(writer.value()->put("pid", "4242").is_ok());
+  auto pid = reader.value()->get("pid", 5000);
+  ASSERT_TRUE(pid.is_ok()) << pid.status().to_string();
+  EXPECT_EQ(pid.value(), "4242");
+  ASSERT_TRUE(reader.value()->put("hostname", "node-9").is_ok());
+  auto host = writer.value()->get("hostname", 5000);
+  ASSERT_TRUE(host.is_ok());
+  EXPECT_EQ(host.value(), "node-9");
+  EXPECT_EQ(proxy.tunnels_opened(), 2u);
+
+  reader.value().reset();
+  writer.value().reset();
+  proxy.stop();
+  server.stop();
 }
 
 }  // namespace

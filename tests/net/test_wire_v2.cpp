@@ -1,14 +1,16 @@
-// Wire format v2 tests (PR 6): compact-layout round trips, field-id
-// interning, the skip-unknown-fields rule, version detection, strict
-// header validation, and fuzz coverage mirroring test_fuzz_decode.cpp for
-// the v2 decoder (truncated frames, corrupted field-id tables, random
-// mutations).
+// Wire format tests: compact-layout round trips, field-id interning, the
+// skip-unknown-fields rule (also across TCP), strict header validation
+// (the retired v1 layout is rejected), and fuzz coverage mirroring
+// test_fuzz_decode.cpp (truncated frames, corrupted field-id tables,
+// random mutations).
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/message.hpp"
+#include "net/tcp.hpp"
 #include "net/wire.hpp"
 #include "util/rng.hpp"
 
@@ -37,23 +39,23 @@ void put_varint(std::vector<std::uint8_t>* out, std::uint64_t v) {
 // tests can express frames no conforming encoder would produce.
 std::vector<std::uint8_t> frame_v2(MsgType type, std::uint64_t seq,
                                    const std::vector<std::vector<std::uint8_t>>& fields) {
-  std::vector<std::uint8_t> payload;
-  payload.push_back(kV2Marker);
-  payload.push_back(2);  // version
-  payload.push_back(0);  // flags
-  payload.push_back(static_cast<std::uint8_t>(static_cast<std::uint16_t>(type) & 0xFF));
-  payload.push_back(static_cast<std::uint8_t>(static_cast<std::uint16_t>(type) >> 8));
-  put_varint(&payload, seq);
-  put_varint(&payload, fields.size());
+  // Byte-wise appends only: GCC 12 reports a false -Wstringop-overread on
+  // a vector range insert here, which fails -Werror Release builds.
+  std::vector<std::uint8_t> frame(Message::kLenPrefixSize, 0);  // patched below
+  frame.push_back(kV2Marker);
+  frame.push_back(2);  // version
+  frame.push_back(0);  // flags
+  frame.push_back(static_cast<std::uint8_t>(static_cast<std::uint16_t>(type) & 0xFF));
+  frame.push_back(static_cast<std::uint8_t>(static_cast<std::uint16_t>(type) >> 8));
+  put_varint(&frame, seq);
+  put_varint(&frame, fields.size());
   for (const auto& field : fields) {
-    payload.insert(payload.end(), field.begin(), field.end());
+    for (std::uint8_t byte : field) frame.push_back(byte);
   }
-  std::vector<std::uint8_t> frame;
-  const auto len = static_cast<std::uint32_t>(payload.size());
-  for (int i = 0; i < 4; ++i) {
-    frame.push_back(static_cast<std::uint8_t>((len >> (8 * i)) & 0xFF));
+  const auto len = static_cast<std::uint32_t>(frame.size() - Message::kLenPrefixSize);
+  for (std::size_t i = 0; i < Message::kLenPrefixSize; ++i) {
+    frame[i] = static_cast<std::uint8_t>((len >> (8 * i)) & 0xFF);
   }
-  frame.insert(frame.end(), payload.begin(), payload.end());
   return frame;
 }
 
@@ -66,6 +68,28 @@ std::vector<std::uint8_t> named_field(std::string_view key, std::string_view val
   put_varint(&field, body.size());
   field.insert(field.end(), body.begin(), body.end());
   return field;
+}
+
+// The retired v1 layout, which no endpoint speaks any more:
+// u32 len | u16 type | u64 seq | u16 nfields | {u16 klen, key, u32 vlen, value}*.
+std::vector<std::uint8_t> frame_v1(MsgType type, std::uint64_t seq,
+                                   std::string_view key, std::string_view value) {
+  std::vector<std::uint8_t> frame;
+  auto put_le = [&frame](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      frame.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+    }
+  };
+  const std::size_t payload = 2 + 8 + 2 + 2 + key.size() + 4 + value.size();
+  put_le(payload, 4);
+  put_le(static_cast<std::uint16_t>(type), 2);
+  put_le(seq, 8);
+  put_le(1, 2);  // nfields
+  put_le(key.size(), 2);
+  for (char c : key) frame.push_back(static_cast<std::uint8_t>(c));
+  put_le(value.size(), 4);
+  for (char c : value) frame.push_back(static_cast<std::uint8_t>(c));
+  return frame;
 }
 
 std::vector<std::uint8_t> interned_field(std::uint16_t id, std::string_view value) {
@@ -81,9 +105,8 @@ std::vector<std::uint8_t> interned_field(std::uint16_t id, std::string_view valu
 
 TEST(WireV2, RoundTripsThroughDecodeAndView) {
   const Message msg = sample_message();
-  const auto bytes = msg.encode(WireVersion::kV2);
-  EXPECT_EQ(bytes.size(), msg.encoded_size(WireVersion::kV2));
-  EXPECT_EQ(Message::detect_version(bytes.data(), bytes.size()), WireVersion::kV2);
+  const auto bytes = msg.encode();
+  EXPECT_EQ(bytes.size(), msg.encoded_size());
 
   auto decoded = Message::decode(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
@@ -91,7 +114,6 @@ TEST(WireV2, RoundTripsThroughDecodeAndView) {
 
   MessageView view;
   ASSERT_TRUE(view.parse(bytes.data(), bytes.size()).is_ok());
-  EXPECT_EQ(view.wire_version(), WireVersion::kV2);
   EXPECT_EQ(view.type(), MsgType::kAttrPut);
   EXPECT_EQ(view.seq(), msg.seq());
   EXPECT_EQ(view.get("attr"), "pid");
@@ -101,13 +123,13 @@ TEST(WireV2, RoundTripsThroughDecodeAndView) {
 TEST(WireV2, EncodeIntoReusesBufferAndMatchesEncode) {
   const Message msg = sample_message();
   std::vector<std::uint8_t> warm;
-  msg.encode_into(warm, WireVersion::kV2);
-  EXPECT_EQ(warm, msg.encode(WireVersion::kV2));
+  msg.encode_into(warm);
+  EXPECT_EQ(warm, msg.encode());
   // Second fill must not grow the buffer: steady-state senders stay
-  // allocation-free in v2 exactly as they did in v1.
+  // allocation-free.
   const std::uint8_t* data = warm.data();
   const std::size_t cap = warm.capacity();
-  msg.encode_into(warm, WireVersion::kV2);
+  msg.encode_into(warm);
   EXPECT_EQ(warm.data(), data);
   EXPECT_EQ(warm.capacity(), cap);
 }
@@ -119,18 +141,32 @@ TEST(WireV2, InterningShrinksWellKnownFields) {
   ASSERT_TRUE(wire_field_id(kTraceField, &id));
   EXPECT_TRUE(wire_field_name(wire_field_registry_size()).empty());
 
-  Message msg(MsgType::kAttrPut);
-  msg.set_seq(7);
-  msg.set("attr", "x").set("value", "y").set("ctx", "z");
-  // Three interned keys: v2 spends 2 bytes per key where v1 spends
-  // 2 + strlen; plus varint seq vs fixed u64.
-  EXPECT_LT(msg.encoded_size(WireVersion::kV2), msg.encoded_size(WireVersion::kV1));
+  // An interned key costs its 2-byte id; an unregistered key of the same
+  // length rides as a named field and pays for its bytes.
+  Message interned(MsgType::kAttrPut);
+  interned.set("attr", "x");
+  Message named(MsgType::kAttrPut);
+  named.set("attz", "x");
+  EXPECT_LT(interned.encoded_size(), named.encoded_size());
+}
+
+TEST(WireV2, RetiredFieldIdIsSkipped) {
+  // Id 12 keeps its number but maps to no key, so a field carrying it is
+  // skipped like one from a newer registry.
+  EXPECT_TRUE(wire_field_name(12).empty());
+  EXPECT_FALSE(wire_field_name(13).empty());
+  const auto frame = frame_v2(MsgType::kAttrInit, 1,
+                              {interned_field(12, "2"), named_field("ctx", "job-1")});
+  auto decoded = Message::decode(frame.data(), frame.size());
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  EXPECT_EQ(decoded->fields().size(), 1u);
+  EXPECT_EQ(decoded->get("ctx"), "job-1");
 }
 
 TEST(WireV2, UnknownKeysRideAsNamedFields) {
   Message msg(MsgType::kAttrPut);
   msg.set("totally-custom-key", "v");
-  const auto bytes = msg.encode(WireVersion::kV2);
+  const auto bytes = msg.encode();
   auto decoded = Message::decode(bytes.data(), bytes.size());
   ASSERT_TRUE(decoded.is_ok());
   EXPECT_EQ(decoded->get("totally-custom-key"), "v");
@@ -158,9 +194,31 @@ TEST(WireV2, SkipsUnknownTagsAndUnregisteredIds) {
   EXPECT_EQ(view.field_count(), 2u);
 }
 
+TEST(WireV2, UnknownFieldsSkippedAcrossTcp) {
+  TcpTransport transport;
+  auto listener = transport.listen(":0").value();
+  auto dial = std::thread([&] {
+    auto client = transport.connect(listener->address()).value();
+    // A future sender: a known field plus an unknown-tag field this build
+    // has never heard of. send_frame writes the crafted bytes verbatim.
+    const std::vector<std::uint8_t> unknown_tag{0x6E, 0x04, 0xDE, 0xAD, 0xBE, 0xEF};
+    const auto frame =
+        frame_v2(MsgType::kAttrPut, 3, {named_field("attr", "pid"), unknown_tag});
+    (void)client->send_frame(frame.data(), frame.size());
+    (void)client->receive(1000);
+  });
+  auto server = listener->accept(5000).value();
+  auto received = server->receive(5000);
+  ASSERT_TRUE(received.is_ok()) << received.status().to_string();
+  EXPECT_EQ(received->get("attr"), "pid");
+  EXPECT_EQ(received->fields().size(), 1u);  // the future field was skipped
+  server->close();
+  dial.join();
+}
+
 TEST(WireV2, RejectsBadHeaders) {
   const Message msg = sample_message();
-  auto bytes = msg.encode(WireVersion::kV2);
+  auto bytes = msg.encode();
 
   auto bad_version = bytes;
   bad_version[Message::kLenPrefixSize + 1] = 3;  // future wire version
@@ -177,19 +235,40 @@ TEST(WireV2, RejectsBadHeaders) {
   EXPECT_FALSE(Message::decode(inflated.data(), inflated.size()).is_ok());
 }
 
-TEST(WireV2, V1FramesStillDecode) {
-  const Message msg = sample_message();
-  const auto v1 = msg.encode(WireVersion::kV1);
-  EXPECT_EQ(Message::detect_version(v1.data(), v1.size()), WireVersion::kV1);
+TEST(WireV2, V1FramesAreRejected) {
+  const auto v1 = frame_v1(MsgType::kAttrPut, 7, "attr", "pid");
+  ASSERT_NE(v1[Message::kLenPrefixSize], kV2Marker);
   auto decoded = Message::decode(v1.data(), v1.size());
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_EQ(decoded.value(), msg);
+  ASSERT_FALSE(decoded.is_ok());
+  EXPECT_EQ(decoded.status().code(), ErrorCode::kInvalidArgument);
+
+  MessageView view;
+  const Status parsed = view.parse(v1.data(), v1.size());
+  ASSERT_FALSE(parsed.is_ok());
+  EXPECT_EQ(parsed.code(), ErrorCode::kInvalidArgument);
+}
+
+TEST(WireV2, TcpReceiverRejectsV1Frame) {
+  TcpTransport transport;
+  auto listener = transport.listen(":0").value();
+  auto dial = std::thread([&] {
+    auto client = transport.connect(listener->address()).value();
+    const auto v1 = frame_v1(MsgType::kPing, 1, "payload", "old");
+    (void)client->send_frame(v1.data(), v1.size());
+    (void)client->receive(1000);
+  });
+  auto server = listener->accept(5000).value();
+  auto received = server->receive(5000);
+  ASSERT_FALSE(received.is_ok());
+  EXPECT_EQ(received.status().code(), ErrorCode::kInvalidArgument);
+  server->close();
+  dial.join();
 }
 
 class WireV2Fuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(WireV2Fuzz, TruncationsNeverCrashOrPass) {
-  const auto bytes = sample_message().encode(WireVersion::kV2);
+  const auto bytes = sample_message().encode();
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     EXPECT_FALSE(Message::decode(bytes.data(), cut).is_ok());
   }
@@ -197,20 +276,18 @@ TEST_P(WireV2Fuzz, TruncationsNeverCrashOrPass) {
 
 TEST_P(WireV2Fuzz, SingleByteMutationsNeverCrash) {
   Rng rng(GetParam());
-  const auto bytes = sample_message().encode(WireVersion::kV2);
+  const auto bytes = sample_message().encode();
   for (int round = 0; round < 4000; ++round) {
     auto mutated = bytes;
     mutated[rng.next_below(mutated.size())] ^=
         static_cast<std::uint8_t>(1 + rng.next_below(255));
     auto decoded = Message::decode(mutated.data(), mutated.size());
     if (decoded.is_ok()) {
-      // Accepted input must reach a fixpoint in both encodings.
-      for (WireVersion v : {WireVersion::kV1, WireVersion::kV2}) {
-        auto reencoded = decoded->encode(v);
-        auto redecoded = Message::decode(reencoded.data(), reencoded.size());
-        ASSERT_TRUE(redecoded.is_ok());
-        EXPECT_EQ(redecoded.value(), decoded.value());
-      }
+      // Accepted input must reach a fixpoint.
+      auto reencoded = decoded->encode();
+      auto redecoded = Message::decode(reencoded.data(), reencoded.size());
+      ASSERT_TRUE(redecoded.is_ok());
+      EXPECT_EQ(redecoded.value(), decoded.value());
     }
   }
 }
@@ -223,7 +300,7 @@ TEST_P(WireV2Fuzz, CorruptedFieldTablesNeverCrash) {
   for (int i = 0; i < 8; ++i) {
     msg.set("k" + std::to_string(i), std::string(1 + rng.next_below(48), 'x'));
   }
-  const auto bytes = msg.encode(WireVersion::kV2);
+  const auto bytes = msg.encode();
   const std::size_t fields_start = Message::kLenPrefixSize + 5 + 1 + 1;
   for (int round = 0; round < 4000; ++round) {
     auto mutated = bytes;
@@ -235,7 +312,7 @@ TEST_P(WireV2Fuzz, CorruptedFieldTablesNeverCrash) {
     }
     auto decoded = Message::decode(mutated.data(), mutated.size());
     if (decoded.is_ok()) {
-      auto reencoded = decoded->encode(WireVersion::kV2);
+      auto reencoded = decoded->encode();
       auto redecoded = Message::decode(reencoded.data(), reencoded.size());
       ASSERT_TRUE(redecoded.is_ok());
       EXPECT_EQ(redecoded.value(), decoded.value());
@@ -249,7 +326,7 @@ TEST_P(WireV2Fuzz, MarkedRandomBytesNeverCrash) {
     const std::size_t size = rng.next_below(256);
     std::vector<std::uint8_t> payload(size);
     for (auto& b : payload) b = static_cast<std::uint8_t>(rng.next_below(256));
-    if (!payload.empty()) payload[0] = kV2Marker;  // force the v2 path
+    if (!payload.empty()) payload[0] = kV2Marker;  // past the marker check
     std::vector<std::uint8_t> frame;
     const auto len = static_cast<std::uint32_t>(payload.size());
     for (int i = 0; i < 4; ++i) {
@@ -258,7 +335,7 @@ TEST_P(WireV2Fuzz, MarkedRandomBytesNeverCrash) {
     frame.insert(frame.end(), payload.begin(), payload.end());
     auto decoded = Message::decode(frame.data(), frame.size());
     if (decoded.is_ok()) {
-      auto reencoded = decoded->encode(WireVersion::kV2);
+      auto reencoded = decoded->encode();
       auto redecoded = Message::decode(reencoded.data(), reencoded.size());
       ASSERT_TRUE(redecoded.is_ok());
       EXPECT_EQ(redecoded.value(), decoded.value());

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
+#include <utility>
 
 #include "attrspace/attr_server.hpp"
 #include "net/inproc.hpp"
@@ -198,6 +200,95 @@ TEST_F(ParadyndTest, DoubleStartRejected) {
   EXPECT_EQ(daemon.start().code(), ErrorCode::kInvalidState);
   daemon.run(20'000);
   daemon.stop();
+}
+
+/// A sim backend that runs `after_continue` once, right after it has
+/// continued a process and before the RM publishes its reply.
+class ContinueHookBackend final : public proc::ProcessBackend {
+ public:
+  ContinueHookBackend(std::shared_ptr<proc::SimProcessBackend> sim,
+                      std::function<void()> after_continue)
+      : sim_(std::move(sim)), after_continue_(std::move(after_continue)) {}
+
+  Result<proc::Pid> create_process(const proc::CreateOptions& options) override {
+    return sim_->create_process(options);
+  }
+  Status attach(proc::Pid pid) override { return sim_->attach(pid); }
+  Status continue_process(proc::Pid pid) override {
+    Status status = sim_->continue_process(pid);
+    if (after_continue_) std::exchange(after_continue_, nullptr)();
+    return status;
+  }
+  Status pause_process(proc::Pid pid) override { return sim_->pause_process(pid); }
+  Status kill_process(proc::Pid pid) override { return sim_->kill_process(pid); }
+  Result<proc::ProcessInfo> info(proc::Pid pid) override { return sim_->info(pid); }
+  std::vector<proc::ProcessEvent> poll_events() override { return sim_->poll_events(); }
+  Result<proc::ProcessInfo> wait_terminal(proc::Pid pid, int timeout_ms) override {
+    return sim_->wait_terminal(pid, timeout_ms);
+  }
+  std::size_t managed_count() override { return sim_->managed_count(); }
+
+ private:
+  std::shared_ptr<proc::SimProcessBackend> sim_;
+  std::function<void()> after_continue_;
+};
+
+// A short job can finish while its paradynd is still starting: the RM has
+// continued the application, and the starter stops the LASS before the
+// daemon reads the continue reply. The daemon must still start and send
+// its final report.
+TEST(ParadyndLassLoss, LassGoneBeforeContinueReplyStillReportsFinal) {
+  auto transport = net::InProcTransport::create();
+  attr::AttrServer lass("LASS", transport);
+  const std::string lass_address = lass.start("inproc://pd-lass-lost").value();
+  Frontend frontend(transport);
+  const std::string frontend_address = frontend.start("inproc://pd-fe-lost").value();
+
+  auto sim = std::make_shared<proc::SimProcessBackend>();
+  InitOptions options;
+  options.role = Role::kResourceManager;
+  options.lass_address = lass_address;
+  options.transport = transport;
+  options.backend = std::make_shared<ContinueHookBackend>(sim, [&lass] { lass.stop(); });
+  auto rm = TdpSession::init(std::move(options)).value();
+  proc::CreateOptions create;
+  create.argv = {"unit_app"};
+  create.mode = proc::CreateMode::kPaused;
+  create.sim_work_units = 50;
+  const proc::Pid pid = rm->create_process(create).value();
+  ASSERT_TRUE(rm->put(attr::attrs::kPid, std::to_string(pid)).is_ok());
+  ASSERT_TRUE(rm->put(attr::attrs::kExecutableName, "unit_app").is_ok());
+
+  std::atomic<bool> stop{false};
+  std::thread pump([&] {
+    while (!stop.load()) {
+      rm->service_events();
+      sim->step(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  ParadyndConfig config;
+  config.lass_address = lass_address;
+  config.transport = transport;
+  config.frontend_address = frontend_address;
+  config.sample_quantum_micros = 1000;
+  Paradynd daemon(std::move(config));
+  const Status started = daemon.start();
+  stop.store(true);
+  pump.join();
+
+  ASSERT_TRUE(started.is_ok()) << started.to_string();
+  EXPECT_EQ(sim->info(pid)->state, proc::ProcessState::kRunning);
+  ASSERT_TRUE(daemon.run(20'000).is_ok());
+  EXPECT_TRUE(daemon.app_exited());
+  for (int i = 0; i < 1000 && frontend.finished_pids().empty(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(frontend.finished_pids(), std::vector<proc::Pid>{pid});
+
+  daemon.stop();
+  frontend.stop();
+  rm->exit();
 }
 
 }  // namespace
