@@ -115,17 +115,26 @@ run_tsan() {
 run_asan() {
   # The fuzz/chaos tier feeds corrupted frames through every decode path;
   # ASan+UBSan turn a silent overread or leak on those paths into a failure.
+  # The pool's liveness path (the CASS tree: lease expiry, rebuilds, the
+  # daemon-death matrix) runs under the same sanitizers.
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTDP_BUILD_BENCH=OFF \
     -DTDP_BUILD_EXAMPLES=OFF \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-  cmake --build build-asan -j"$(nproc)" --target tdp_chaos_tests tdp_net_tests
+  cmake --build build-asan -j"$(nproc)" --target tdp_chaos_tests tdp_net_tests \
+    tdp_condor_tests tdp_chaos_integration_tests
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/tdp_chaos_tests
   ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/tdp_net_tests
+  ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/tdp_condor_tests \
+    --gtest_filter='PoolCassRebuild.*:PoolLiveness.*'
+  ASAN_OPTIONS="detect_leaks=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/tdp_chaos_integration_tests \
+    --gtest_filter='Seeds/ChaosKillTest.*'
 }
 
 run_chaos() {

@@ -52,10 +52,6 @@ Pool::Pool(PoolConfig config) : config_(std::move(config)) {
           return schedd_.recover().is_ok();
         });
   }
-  if (config_.enable_liveness) {
-    startd_monitor_ =
-        std::make_unique<lease::LeaseMonitor>(config_.startd_lease, config_.clock);
-  }
   if (!config_.frontdoor_rules.empty()) {
     auto parsed = parse_frontdoor_config(config_.frontdoor_rules);
     if (parsed.is_ok()) {
@@ -254,7 +250,7 @@ int Pool::negotiate() {
 
 int Pool::pump() {
   master_.tick();  // probes every supervised daemon; restarts the dead
-  if (startd_monitor_) check_liveness();
+  if (config_.enable_liveness) check_liveness();
   int completed = 0;
   for (auto& [name, startd] : startds_) {
     Starter* starter = startd->starter();
@@ -404,26 +400,18 @@ void Pool::requeue_orphan(JobId job, const std::string& machine) {
 }
 
 void Pool::start_beats(const std::string& name) {
-  if (!startd_monitor_) return;
-  const std::string attribute = lease::liveness_attr("startd", name);
-  beat_to_machine_[attribute] = name;
   // Each beat also lands in the startd's own black box: after a kill, the
   // victim's capsule ends with its last beat, which the merged timeline
   // orders against the pool's lease-expiry event.
   std::shared_ptr<flightrec::Recorder> rec = recorder("startd", name);
   auto beat = std::make_unique<lease::HeartbeatPublisher>(
-      attribute, config_.startd_lease, config_.clock,
-      [this, name, rec](const std::string& attr, const std::string& value) {
+      lease::liveness_attr("startd", name), config_.startd_lease, config_.clock,
+      [this, name, rec](const std::string& /*attribute*/, const std::string& value) {
         rec->lease("beat", value);
-        // Tree mode: the beat enters the overlay at this machine's leaf
-        // (an interior aggregator holds the lease). Flat mode: it lands
-        // on the central monitor directly — one root write per beat.
-        if (cass_) {
-          cass_->observe_host(name, value);
-        } else {
-          ++flat_liveness_writes_;
-          startd_monitor_->observe(attr);
-        }
+        // The beat enters the overlay at this machine's leaf. Before the
+        // first pump builds the tree there is nobody to hear it, and none
+        // is needed: build() seeds every member's lease fresh.
+        if (cass_) cass_->observe_host(name, value);
         return Status::ok();
       });
   beat->beat_now();
@@ -444,7 +432,7 @@ void Pool::on_machine_lease_expired(const std::string& machine) {
 }
 
 void Pool::ensure_cass() {
-  if (!config_.hierarchical_cass || machine_ads_.size() == cass_hosts_) return;
+  if (machine_ads_.empty() || machine_ads_.size() == cass_hosts_) return;
   // Rebuild only on pool growth. The rebuild is safe mid-flight because
   // every machine's lease state is carried over from the old tree below,
   // so the topology change can neither falsely expire a machine nor reset
@@ -488,7 +476,15 @@ void Pool::ensure_cass() {
   if (config_.cass_store != nullptr) {
     cass_->set_root_write(
         [this](const std::string& attribute, const std::string& value) {
-          (void)config_.cass_store->put("cass", attribute, value);
+          // A startd whose leaf hangs off the root (pools no larger than
+          // the fanout, or promoted by re-parenting) beats there under its
+          // bare machine name; store it under its liveness attribute so
+          // observers scanning tdp.liveness.* see it like any summary.
+          (void)config_.cass_store->put(
+              "cass",
+              cass_->member(attribute) ? lease::liveness_attr("startd", attribute)
+                                       : attribute,
+              value);
         });
   }
   cass_->set_recorder(recorder("cass", "tree"));
@@ -498,8 +494,8 @@ void Pool::ensure_cass() {
       kLog.warn("health rules rejected: ", rules.to_string());
     }
   }
-  kLog.info("hierarchical CASS over ", cass_hosts_, " machines (fanout ",
-            config_.cass_fanout, ", root sees O(fanout) liveness writes)");
+  kLog.info("CASS tree over ", cass_hosts_, " machines (fanout ",
+            config_.cass_fanout, ", depth ", cass_->overlay().depth(), ")");
 }
 
 void Pool::check_liveness() {
@@ -507,54 +503,15 @@ void Pool::check_liveness() {
   // A live startd's beat is refreshed before the poll, so only a daemon
   // whose publisher is gone (killed) can ever be seen expired here.
   for (auto& [name, beat] : startd_beats_) beat->maybe_beat();
-  if (cass_) {
-    // Expiries at any level surface through on_host_expired.
-    cass_->pump();
-    return;
-  }
-  startd_monitor_->poll();
-  for (const std::string& attribute : startd_monitor_->expired()) {
-    startd_monitor_->forget(attribute);
-    auto it = beat_to_machine_.find(attribute);
-    if (it == beat_to_machine_.end()) continue;
-    on_machine_lease_expired(it->second);
-  }
+  // Expiries at any level surface through on_host_expired.
+  if (cass_) cass_->pump();
 }
 
 Status Pool::kill_cass_node(int node) {
   if (!cass_) {
-    return make_error(ErrorCode::kInvalidState,
-                      "hierarchical CASS not active");
+    return make_error(ErrorCode::kInvalidState, "CASS tree not built");
   }
   return cass_->kill_interior(node);
-}
-
-int Pool::publish_cass_rollup() {
-  // Per-machine pool state folded to the root: the tree writes one merged
-  // rollup (O(1) at the root), the flat control one batch per machine.
-  std::map<std::string, attr::TelemetryRollup> per_host;
-  for (const auto& [name, ad] : machine_ads_) {
-    if (dead_startds_.count(name) != 0) continue;
-    auto it = startds_.find(name);
-    if (it == startds_.end()) continue;
-    attr::TelemetryRollup& rollup = per_host[name];
-    rollup.add_value("machine.alive", 1.0);
-    rollup.add_value("machine.busy",
-                     it->second->state() == Startd::State::kBusy ? 1.0 : 0.0);
-  }
-  if (cass_) return cass_->rollup_telemetry(per_host, "pool");
-  int written = 0;
-  for (const auto& [name, rollup] : per_host) {
-    const auto pairs =
-        rollup.flatten("tdp.telemetry.rollup.pool." + name + ".");
-    written += static_cast<int>(pairs.size());
-    if (config_.cass_store != nullptr) {
-      for (const auto& [attribute, value] : pairs) {
-        (void)config_.cass_store->put("cass", attribute, value);
-      }
-    }
-  }
-  return written;
 }
 
 // ---------------------------------------------------------------------
@@ -619,10 +576,10 @@ void Pool::on_control_poke(const std::string& attribute,
 int Pool::publish_health() {
   if (config_.health_rules.empty()) return 0;
   ensure_cass();
-  const Micros now = config_.clock->now_micros();
+  if (!cass_) return 0;
   // One sample set per machine ever added. Dead machines are included at
-  // machine.alive=0 — unlike the telemetry rollup, absence is exactly the
-  // signal a below-threshold rule exists to catch.
+  // machine.alive=0: absence is exactly the signal a below-threshold rule
+  // exists to catch.
   std::map<std::string, std::vector<telemetry::Sample>> per_host;
   for (const auto& [name, ad] : machine_ads_) {
     const auto it = startds_.find(name);
@@ -642,43 +599,10 @@ int Pool::publish_health() {
     sample.value = static_cast<std::int64_t>(orphan_requeues_);
     samples.push_back(sample);
   }
-  if (cass_) {
-    const int written = cass_->rollup_health(per_host, "startd");
-    // The tree's verdict drives brownout: warn/critical sheds, a
-    // sustained ok streak recovers (hysteresis lives in the front door).
-    schedd_.on_health(cass_->last_health_fold());
-    return written;
-  }
-
-  int written = 0;
-  health::Severity overall = health::Severity::kOk;
-  for (auto& [name, samples] : per_host) {
-    std::unique_ptr<health::Engine>& engine = health_engines_[name];
-    if (!engine) {
-      engine = std::make_unique<health::Engine>();
-      for (const std::string& text : config_.health_rules) {
-        Status added = engine->add_rule(text);
-        if (!added.is_ok()) {
-          kLog.warn("health rule rejected: ", added.to_string());
-        }
-      }
-    }
-    const health::Report report = engine->evaluate(samples, now);
-    overall = health::fold(overall, report.severity);
-    ++written;
-    if (config_.cass_store != nullptr) {
-      (void)config_.cass_store->put(
-          "cass", health::health_attr("startd", name),
-          report.encode());  // NOLINT: health report text, not a Message codec
-    }
-  }
-  ++written;
-  if (config_.cass_store != nullptr) {
-    (void)config_.cass_store->put("cass",
-                                  std::string(health::kHealthPrefix) + "startd",
-                                  health::severity_name(overall));
-  }
-  schedd_.on_health(overall);
+  const int written = cass_->rollup_health(per_host, "startd");
+  // The tree's verdict drives brownout: warn/critical sheds, a sustained
+  // ok streak recovers (hysteresis lives in the front door).
+  schedd_.on_health(cass_->last_health_fold());
   return written;
 }
 

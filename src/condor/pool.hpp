@@ -27,7 +27,6 @@
 #include "mrnet/hierarchy.hpp"
 #include "net/proxy.hpp"
 #include "util/flightrec.hpp"
-#include "util/health.hpp"
 #include "util/journal.hpp"
 #include "util/lease.hpp"
 
@@ -65,9 +64,10 @@ struct PoolConfig {
   // --- daemon-death survival (PR 5) ---
 
   /// Lease-based startd liveness: every pump turn beats each live startd's
-  /// tdp.liveness.startd.<machine> lease; a lease that expires (the daemon
-  /// died without a goodbye) withdraws the machine and requeues its job
-  /// exactly once. Off by default: the seed pipeline stays byte-identical.
+  /// tdp.liveness.startd.<machine> lease into the CASS aggregation tree; a
+  /// lease that expires (the daemon died without a goodbye) withdraws the
+  /// machine and requeues its job exactly once. Off by default: the seed
+  /// pipeline stays byte-identical.
   bool enable_liveness = false;
   lease::Config startd_lease;
 
@@ -94,17 +94,17 @@ struct PoolConfig {
 
   // --- hierarchical CASS (PR 7) ---
 
-  /// Route startd liveness beats (and telemetry rollups) through the
-  /// mrnet overlay instead of flat at the central monitor: interior comm
-  /// nodes hold the leases and the root sees O(cass_fanout) writes, not
-  /// O(machines). Requires enable_liveness. The overlay is (re)built only
-  /// when machines are ADDED; startd kills and revives are observed
-  /// through leases, never through topology edits, so recovery semantics
-  /// are identical to the flat path.
-  bool hierarchical_cass = false;
+  /// Fanout of the mrnet aggregation tree that carries startd liveness and
+  /// health (built when enable_liveness is on or health_rules is set):
+  /// interior comm nodes hold the leases and the root sees O(cass_fanout)
+  /// writes, not O(machines). cass_fanout >= machines is the one-level
+  /// tree: every startd beats straight at the root's lease monitor. The
+  /// tree is (re)built only when machines are ADDED; startd kills and
+  /// revives are observed through leases, never through topology edits.
   int cass_fanout = 8;
-  /// Optional store the CASS root writes summaries/rollups into (context
-  /// "cass"); not owned, may be null (stats still count the writes).
+  /// Optional store the CASS root writes beats, summaries and health
+  /// verdicts into (context "cass"); not owned, may be null (stats still
+  /// count the writes).
   attr::AttributeStore* cass_store = nullptr;
 
   // --- black-box flight recorder + health engine (PR 9) ---
@@ -118,8 +118,7 @@ struct PoolConfig {
   /// daemon holds the shared flightrec::Recorder::disabled().
   std::string capsule_dir;
   /// Declarative RED-style rules (util/health.hpp grammar) evaluated per
-  /// machine by publish_health(); folded through the CASS tree when
-  /// hierarchical_cass is on, flat writes to cass_store otherwise.
+  /// machine by publish_health() and folded through the CASS tree.
   std::vector<std::string> health_rules;
 
   // --- multi-tenant front door (PR 10) ---
@@ -224,8 +223,9 @@ class Pool {
 
   // --- hierarchical CASS (PR 7) ---
 
-  /// The live aggregation tree (null unless hierarchical_cass and at least
-  /// one check_liveness() ran). Tests use it to pick interior victims.
+  /// The live aggregation tree: null until the first pump() with
+  /// enable_liveness or publish_health() with health_rules builds it over
+  /// the machines added so far. Tests use it to pick interior victims.
   [[nodiscard]] const mrnet::HierarchicalCass* cass() const {
     return cass_.get();
   }
@@ -235,16 +235,11 @@ class Pool {
   /// and the children re-parent. Leaf and root ids are rejected.
   Status kill_cass_node(int node);
 
-  /// Liveness writes the root attrspace absorbed (tree mode: summaries
-  /// reaching the root; flat mode: every single beat).
+  /// Liveness writes the root attrspace absorbed: interior summaries plus
+  /// the beats of startds whose leaf hangs straight off the root.
   [[nodiscard]] std::uint64_t root_liveness_writes() const noexcept {
-    return cass_ ? cass_->root_liveness_writes() : flat_liveness_writes_;
+    return cass_ ? cass_->root_liveness_writes() : 0;
   }
-
-  /// Folds one per-machine telemetry rollup (alive/busy state) through
-  /// the tree to the root (flat mode: one write batch per machine).
-  /// Returns attributes written at the root.
-  int publish_cass_rollup();
 
   // --- black-box flight recorder + health engine (PR 9) ---
 
@@ -269,9 +264,8 @@ class Pool {
   /// Evaluates the configured health rules over every machine's rollup
   /// samples (dead machines included, at machine.alive=0) and publishes
   /// tdp.health.startd.<machine> verdicts plus the overall
-  /// tdp.health.startd fold — through the CASS tree in hierarchical mode,
-  /// flat writes to cass_store otherwise. Returns attributes written at
-  /// the root.
+  /// tdp.health.startd fold through the CASS tree; the fold drives the
+  /// front door's brownout. Returns attributes written at the root.
   int publish_health();
 
   // --- multi-tenant front door (PR 10) ---
@@ -298,8 +292,9 @@ class Pool {
   /// to `machine` is requeued.
   void requeue_orphan(JobId job, const std::string& machine);
 
-  /// Beats every live startd's lease, polls the monitor, and handles
-  /// expired leases (withdraw + orphan requeue).
+  /// Beats every live startd's lease into the tree and pumps it; expired
+  /// leases surface through on_machine_lease_expired (withdraw + orphan
+  /// requeue).
   void check_liveness();
 
   void start_beats(const std::string& name);
@@ -312,13 +307,11 @@ class Pool {
   std::map<std::string, std::shared_ptr<proc::ProcessBackend>> backends_;
 
   /// Survival state (PR 5): remembered ads for revival, claim journals,
-  /// per-machine heartbeats, the lease monitor, and the set of machines
-  /// currently dead (probe input for the master).
+  /// per-machine heartbeats, and the set of machines currently dead (probe
+  /// input for the master).
   std::map<std::string, classads::ClassAd> machine_ads_;
   std::map<std::string, journal::Journal*> startd_journals_;
   std::map<std::string, std::unique_ptr<lease::HeartbeatPublisher>> startd_beats_;
-  std::map<std::string, std::string> beat_to_machine_;
-  std::unique_ptr<lease::LeaseMonitor> startd_monitor_;
   std::set<std::string> dead_startds_;
   std::uint64_t orphan_requeues_ = 0;
 
@@ -332,14 +325,11 @@ class Pool {
   void on_machine_lease_expired(const std::string& machine);
   std::unique_ptr<mrnet::HierarchicalCass> cass_;
   std::size_t cass_hosts_ = 0;
-  std::uint64_t flat_liveness_writes_ = 0;
 
   /// PR 9 state: recorders keyed "<role>.<host>" (the pool is the
-  /// supervisor-side owner, so rings survive daemon kills), per-machine
-  /// health engines for the flat path (the tree keeps its own), and the
+  /// supervisor-side owner, so rings survive daemon kills) and the
   /// operator-poke subscription id on cass_store.
   std::map<std::string, std::shared_ptr<flightrec::Recorder>> recorders_;
-  std::map<std::string, std::unique_ptr<health::Engine>> health_engines_;
   std::uint64_t control_subscription_ = 0;
 
   /// PR 10: the admission layer, owned here and attached to the schedd

@@ -7,13 +7,17 @@
 
 namespace tdp::mrnet {
 
+namespace {
+/// Role in interior summary beat names: tdp.liveness.cassagg.n<node>.
+constexpr const char* kSummaryRole = "cassagg";
+}  // namespace
+
 HierarchicalCass::HierarchicalCass(HierarchyConfig config)
     : config_(std::move(config)),
       root_monitor_(config_.lease, config_.clock) {}
 
 std::string HierarchicalCass::summary_attr(int node) const {
-  return lease::liveness_attr(config_.summary_role,
-                              "n" + std::to_string(node));
+  return lease::liveness_attr(kSummaryRole, "n" + std::to_string(node));
 }
 
 Result<std::unique_ptr<HierarchicalCass>> HierarchicalCass::build(

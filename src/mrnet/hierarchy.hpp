@@ -1,12 +1,15 @@
 // hierarchy.hpp - the hierarchical CASS (PR 7).
 //
-// Flat liveness (PR 5) points every daemon's heartbeat at one central
-// attrspace: O(hosts) writes land on the root, which caps pool size. Here
-// the mrnet overlay carries liveness instead: each interior comm node runs
-// a lease::LeaseAggregator over its children and publishes ONE summarized
+// Pointing every daemon's heartbeat at one central attrspace lands
+// O(hosts) writes on the root, which caps pool size. Here the mrnet overlay
+// carries liveness instead: each interior comm node runs a
+// lease::LeaseAggregator over its children and publishes ONE summarized
 // beat upward, so the root sees O(fanout) writes regardless of host count.
 // Telemetry folds the same way (attr::TelemetryRollup per subtree, merged
-// bottom-up, flattened once at the root).
+// bottom-up, flattened once at the root). With fanout >= hosts the tree is
+// one level deep: every leaf hangs off the root, whose lease monitor
+// watches each host directly — the flat topology is this tree's degenerate
+// case, not a separate path.
 //
 // Fault model (mirrors MPD's tree of process managers):
 //   - membership: build() seeds a lease on EVERY member at every level, so
@@ -57,9 +60,6 @@ struct HierarchyConfig {
   /// Lease timing shared by hosts and interior summaries.
   lease::Config lease;
   const Clock* clock = &RealClock::instance();
-  /// Role used in interior summary beat names:
-  /// tdp.liveness.<summary_role>.n<node>.
-  std::string summary_role = "cassagg";
 };
 
 class HierarchicalCass {
@@ -69,7 +69,8 @@ class HierarchicalCass {
   using HostExpiredFn = std::function<void(const std::string& host)>;
   /// Optional sink for everything that reaches the root (summary beats,
   /// direct leaf beats in tiny pools, telemetry rollups) — normally the
-  /// root AttributeStore.
+  /// root AttributeStore. A direct leaf beat arrives under the bare host
+  /// name (member() is true for it); the sink chooses its stored name.
   using RootWriteFn = std::function<void(const std::string& attribute,
                                          const std::string& value)>;
 

@@ -98,15 +98,13 @@ Status Paradynd::start() {
 
   // Liveness lease: first beat immediately (the starter may already be
   // watching for the replacement daemon after a crash), then paced.
-  if (config_.publish_liveness) {
-    heartbeat_ = std::make_unique<lease::HeartbeatPublisher>(
-        lease::liveness_attr("paradynd", config_.pid_attribute), config_.liveness,
-        config_.clock, [this](const std::string& attribute, const std::string& value) {
-          config_.recorder->lease("beat", value);
-          return session_->put(attribute, value);
-        });
-    heartbeat_->beat_now();
-  }
+  heartbeat_ = std::make_unique<lease::HeartbeatPublisher>(
+      lease::liveness_attr("paradynd", config_.pid_attribute), config_.liveness,
+      config_.clock, [this](const std::string& attribute, const std::string& value) {
+        config_.recorder->lease("beat", value);
+        return session_->put(attribute, value);
+      });
+  heartbeat_->beat_now();
 
   started_ = true;
   config_.recorder->state("start", "pid=" + std::to_string(app_pid_));

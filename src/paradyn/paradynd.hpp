@@ -71,7 +71,6 @@ struct ParadyndConfig {
   /// tool daemon (restartable) from a dead application (job over). In-proc
   /// tools get synthetic pids, so process-table liveness cannot see them;
   /// the lease is the only death signal that works for every launcher.
-  bool publish_liveness = true;
   lease::Config liveness;
 
   /// Clock driving heartbeat pacing (tests inject a ManualClock).

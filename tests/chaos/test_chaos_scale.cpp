@@ -69,8 +69,9 @@ struct ScaleCluster {
 };
 
 struct ScaleOptions {
-  bool recovery = true;      ///< journals + leases; false = the control
-  bool hierarchical = true;  ///< false = flat liveness (PR 5 status quo)
+  bool recovery = true;  ///< journals + leases; false = the control
+  /// kMachines = the one-level tree: every startd beats at the root.
+  int fanout = kFanout;
   int startd_restart_budget = 5;
 };
 
@@ -89,8 +90,7 @@ ScaleCluster make_scale_cluster(const ScaleOptions& options) {
   if (options.recovery) {
     config.enable_liveness = true;
     config.startd_lease = scale_lease();
-    config.hierarchical_cass = options.hierarchical;
-    config.cass_fanout = kFanout;
+    config.cass_fanout = options.fanout;
     cluster.schedd_journal = journal::Journal::in_memory();
     config.schedd_journal = cluster.schedd_journal.get();
     config.startd_journal_factory =
@@ -248,14 +248,15 @@ TEST_P(ChaosScaleTest, KillScheddQueueRecoversFromJournalAt1k) {
 }
 
 TEST_P(ChaosScaleTest, FlatAndTreeRecoverIdenticallyAt1k) {
-  // The flat path is the control arm of the tentpole: the SAME startd kill
-  // under flat liveness must produce the SAME exactly-once requeue outcome
-  // — only the root write volume may differ.
+  // The flat topology is the one-level tree (fanout >= machines): the SAME
+  // startd kill with every startd beating straight at the root must
+  // produce the SAME exactly-once requeue outcome as the deep tree — only
+  // the root write volume may differ.
   const std::uint64_t seed = GetParam();
   Watchdog dog("ScaleFlatControl/seed=" + std::to_string(seed), 200'000);
 
   ScaleOptions options;
-  options.hierarchical = false;
+  options.fanout = kMachines;
   ScaleCluster cluster = make_scale_cluster(options);
   const JobId id = cluster.pool->submit(sim_job(300));
   ASSERT_TRUE(run_until_kill_point(cluster, id, seed));
@@ -271,7 +272,11 @@ TEST_P(ChaosScaleTest, FlatAndTreeRecoverIdenticallyAt1k) {
   EXPECT_EQ(record->status, JobStatus::kCompleted) << record->failure_reason;
   EXPECT_EQ(record->restarts, 1);
   EXPECT_EQ(cluster.pool->orphan_requeues(), 1u);
-  EXPECT_EQ(cluster.pool->cass(), nullptr);  // flat: no tree was built
+  // Flat: one level, so the root absorbed every beat of every host.
+  ASSERT_NE(cluster.pool->cass(), nullptr);
+  EXPECT_EQ(cluster.pool->cass()->overlay().depth(), 1);
+  EXPECT_GE(cluster.pool->root_liveness_writes(),
+            static_cast<std::uint64_t>(kMachines));
 }
 
 TEST_P(ChaosScaleTest, ControlWithoutRecoveryLosesTheJobAt1k) {

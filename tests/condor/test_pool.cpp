@@ -7,12 +7,14 @@
 #include <filesystem>
 #include <fstream>
 
+#include "attrspace/attr_store.hpp"
 #include "net/inproc.hpp"
 #include "net/tcp.hpp"
 #include "proc/posix_backend.hpp"
 #include "proc/sim_backend.hpp"
 #include "util/clock.hpp"
 #include "util/flightrec.hpp"
+#include "util/lease.hpp"
 
 namespace tdp::condor {
 namespace {
@@ -24,7 +26,9 @@ struct SimPool {
   std::map<std::string, std::shared_ptr<proc::SimProcessBackend>> backends;
   std::unique_ptr<Pool> pool;
 
-  explicit SimPool(int machines, std::string capsule_dir = "") {
+  /// `configure` (if set) adjusts the config before the pool is built.
+  explicit SimPool(int machines, std::string capsule_dir = "",
+                   const std::function<void(PoolConfig&)>& configure = {}) {
     PoolConfig config;
     config.capsule_dir = std::move(capsule_dir);
     config.transport = transport;
@@ -35,6 +39,7 @@ struct SimPool {
       backends[machine] = backend;
       return backend;
     };
+    if (configure) configure(config);
     pool = std::make_unique<Pool>(std::move(config));
     for (int i = 0; i < machines; ++i) {
       std::string name = "node" + std::to_string(i);
@@ -317,7 +322,6 @@ TEST(PoolCassRebuild, GrowthCarriesLeaseStateAndNeverReExpiresTheDead) {
   PoolConfig config;
   config.use_real_files = false;
   config.enable_liveness = true;
-  config.hierarchical_cass = true;
   config.cass_fanout = 4;
   config.clock = &clock;
   config.startd_lease.ttl_micros = 1'000;
@@ -363,6 +367,86 @@ TEST(PoolCassRebuild, GrowthCarriesLeaseStateAndNeverReExpiresTheDead) {
   // Every live machine — including the newcomer — is tracked and alive.
   EXPECT_EQ(pool.cass()->host_health("m12"), lease::Health::kAlive);
   EXPECT_EQ(pool.cass()->host_health("m0"), lease::Health::kAlive);
+}
+
+TEST(PoolLiveness, OneLevelTreeKeepsTheFlatDeadline) {
+  // Three machines at the default fanout: the aggregation tree is one level
+  // deep and every startd beats straight at the root's lease monitor (the
+  // flat topology). A killed startd is detected exactly once, no earlier
+  // than ttl+grace after its last beat and by the first pump past that,
+  // and its job is requeued exactly once.
+  ManualClock clock;
+  lease::Config lease;
+  lease.ttl_micros = 1'000;
+  lease.grace_micros = 400;
+  lease.beat_interval_micros = 250;
+  SimPool cluster(3, "", [&](PoolConfig& config) {
+    config.enable_liveness = true;
+    config.startd_lease = lease;
+    config.clock = &clock;
+    config.restart_policy.restart_budget = 0;  // the dead stay dead
+  });
+  Pool& pool = *cluster.pool;
+  const JobId id = pool.submit(sim_job(1'000'000));  // outlives the test
+  for (int turn = 0; turn < 20 && pool.schedd().job(id)->status !=
+                                      JobStatus::kRunning; ++turn) {
+    pool.negotiate();
+    cluster.step_all();
+    pool.pump();
+    clock.advance_micros(lease.beat_interval_micros);
+  }
+  ASSERT_EQ(pool.schedd().job(id)->status, JobStatus::kRunning);
+  ASSERT_NE(pool.cass(), nullptr);
+  EXPECT_EQ(pool.cass()->overlay().depth(), 1);
+  const std::string victim = pool.schedd().job(id)->matched_machine;
+  EXPECT_EQ(pool.cass()->interior_of(victim), pool.cass()->root());
+
+  pool.pump();  // the victim's last beat
+  const Micros last_beat = pool.cass()->host_last_beat(victim);
+  ASSERT_EQ(last_beat, clock.now_micros());
+  ASSERT_TRUE(pool.kill_startd(victim).is_ok());
+
+  const Micros deadline = last_beat + lease.ttl_micros + lease.grace_micros;
+  while (clock.now_micros() <= deadline) {
+    pool.pump();
+    ASSERT_EQ(pool.cass()->host_expiries(), 0u)
+        << "expired " << clock.now_micros() - last_beat << "us after the last beat";
+    clock.advance_micros(50);
+  }
+  pool.pump();  // the first pump past ttl+grace
+  EXPECT_EQ(pool.cass()->host_expiries(), 1u);
+  for (int turn = 0; turn < 40; ++turn) {
+    pool.pump();
+    clock.advance_micros(50);
+  }
+  EXPECT_EQ(pool.cass()->host_expiries(), 1u) << "a dead startd expired twice";
+  EXPECT_EQ(pool.orphan_requeues(), 1u);
+  EXPECT_EQ(pool.schedd().job(id)->restarts, 1);
+}
+
+TEST(PoolLiveness, RootBeatsLandUnderTheirLivenessName) {
+  // With machines <= fanout every startd's beat reaches the root store
+  // directly. It is stored under tdp.liveness.startd.<machine>, the name
+  // observers scan, never under the bare machine name.
+  ManualClock clock;
+  attr::AttributeStore cass;
+  PoolConfig config;
+  config.use_real_files = false;
+  config.enable_liveness = true;
+  config.clock = &clock;
+  config.cass_store = &cass;
+  Pool pool(std::move(config));
+  pool.add_machine("m0", Pool::default_machine_ad("m0"));
+  pool.add_machine("m1", Pool::default_machine_ad("m1"));
+  pool.pump();  // builds the tree
+  clock.advance_micros(lease::Config{}.beat_interval_micros);
+  pool.pump();  // every startd beats into it
+
+  EXPECT_TRUE(cass.get("cass", "tdp.liveness.startd.m0").is_ok());
+  EXPECT_TRUE(cass.get("cass", "tdp.liveness.startd.m1").is_ok());
+  EXPECT_FALSE(cass.get("cass", "m0").is_ok());
+  EXPECT_FALSE(cass.get("cass", "m1").is_ok());
+  EXPECT_GE(pool.root_liveness_writes(), 2u);
 }
 
 TEST_F(PoolPosixTest, SubmitFileDrivesWholePipeline) {
