@@ -25,6 +25,12 @@ std::string expand_pattern(const std::string& pattern, const std::string& machin
 }  // namespace
 
 Pool::Pool(PoolConfig config) : config_(std::move(config)) {
+  if (config_.cass_fanout < 2) {
+    // The overlay needs a fanout of at least 2; a smaller value must not
+    // leave the pool without its liveness tree.
+    kLog.warn("cass_fanout ", config_.cass_fanout, " is below 2; using 2");
+    config_.cass_fanout = 2;
+  }
   master_.set_policy(config_.restart_policy);
   master_.set_clock(config_.clock);
   schedd_.set_recorder(recorder("schedd", "central"));
@@ -406,12 +412,12 @@ void Pool::start_beats(const std::string& name) {
   std::shared_ptr<flightrec::Recorder> rec = recorder("startd", name);
   auto beat = std::make_unique<lease::HeartbeatPublisher>(
       lease::liveness_attr("startd", name), config_.startd_lease, config_.clock,
-      [this, name, rec](const std::string& /*attribute*/, const std::string& value) {
+      [this, name, rec](const std::string& attribute, const std::string& value) {
         rec->lease("beat", value);
         // The beat enters the overlay at this machine's leaf. Before the
         // first pump builds the tree there is nobody to hear it, and none
         // is needed: build() seeds every member's lease fresh.
-        if (cass_) cass_->observe_host(name, value);
+        if (cass_) cass_->observe_host(name, value, attribute);
         return Status::ok();
       });
   beat->beat_now();
@@ -476,15 +482,7 @@ void Pool::ensure_cass() {
   if (config_.cass_store != nullptr) {
     cass_->set_root_write(
         [this](const std::string& attribute, const std::string& value) {
-          // A startd whose leaf hangs off the root (pools no larger than
-          // the fanout, or promoted by re-parenting) beats there under its
-          // bare machine name; store it under its liveness attribute so
-          // observers scanning tdp.liveness.* see it like any summary.
-          (void)config_.cass_store->put(
-              "cass",
-              cass_->member(attribute) ? lease::liveness_attr("startd", attribute)
-                                       : attribute,
-              value);
+          (void)config_.cass_store->put("cass", attribute, value);
         });
   }
   cass_->set_recorder(recorder("cass", "tree"));
@@ -493,6 +491,9 @@ void Pool::ensure_cass() {
     if (!rules.is_ok()) {
       kLog.warn("health rules rejected: ", rules.to_string());
     }
+    // Same rules as the old tree: its engines keep their rate windows, so
+    // a requeue burst is still seen as a rate across the growth.
+    if (previous) cass_->carry_health_from(*previous);
   }
   kLog.info("CASS tree over ", cass_hosts_, " machines (fanout ",
             config_.cass_fanout, ", depth ", cass_->overlay().depth(), ")");

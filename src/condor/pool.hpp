@@ -99,8 +99,10 @@ struct PoolConfig {
   /// interior comm nodes hold the leases and the root sees O(cass_fanout)
   /// writes, not O(machines). cass_fanout >= machines is the one-level
   /// tree: every startd beats straight at the root's lease monitor. The
-  /// tree is (re)built only when machines are ADDED; startd kills and
-  /// revives are observed through leases, never through topology edits.
+  /// tree is (re)built only when machines are ADDED, carrying lease
+  /// deadlines and health rate windows; startd kills and revives are
+  /// observed through leases, never through topology edits. Values below
+  /// 2 are raised to 2 (with a warning).
   int cass_fanout = 8;
   /// Optional store the CASS root writes beats, summaries and health
   /// verdicts into (context "cass"); not owned, may be null (stats still

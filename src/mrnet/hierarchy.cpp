@@ -113,23 +113,25 @@ void HierarchicalCass::seed_children(int observer) {
   }
 }
 
-void HierarchicalCass::root_observe(const std::string& attribute,
+void HierarchicalCass::root_observe(const std::string& name,
+                                    const std::string& attribute,
                                     const std::string& value) {
-  root_monitor_.observe(attribute);
+  root_monitor_.observe(name);
   ++root_liveness_writes_;
   if (auto parsed = lease::parse_summary(value); parsed.is_ok()) {
-    root_summaries_[attribute] = parsed.value();
+    root_summaries_[name] = parsed.value();
   }
   if (root_write_) root_write_(attribute, value);
 }
 
 void HierarchicalCass::observe_host(const std::string& host,
-                                    const std::string& value) {
+                                    const std::string& value,
+                                    const std::string& attribute) {
   const auto it = host_leaf_.find(host);
   if (it == host_leaf_.end()) return;
   const int parent = overlay_.parent(it->second);
   if (parent == overlay_.root()) {
-    root_observe(host, value);
+    root_observe(host, attribute.empty() ? host : attribute, value);
     return;
   }
   const auto agg = aggregators_.find(parent);
@@ -148,7 +150,7 @@ Status HierarchicalCass::route_summary(int from_node,
   ++summary_publishes_;
   const int parent = overlay_.parent(from_node);
   if (parent == overlay_.root()) {
-    root_observe(attribute, value);
+    root_observe(attribute, attribute, value);
     return Status::ok();
   }
   const auto agg = aggregators_.find(parent);
@@ -403,6 +405,14 @@ Status HierarchicalCass::set_health_rules(const std::vector<std::string>& rules)
   // rate windows restart (a rule change redefines what the rate means).
   health_engines_.clear();
   return Status::ok();
+}
+
+void HierarchicalCass::carry_health_from(HierarchicalCass& previous) {
+  for (auto& [host, engine] : previous.health_engines_) {
+    if (member(host)) health_engines_[host] = std::move(engine);
+  }
+  previous.health_engines_.clear();
+  last_health_fold_ = previous.last_health_fold_;
 }
 
 int HierarchicalCass::rollup_health(

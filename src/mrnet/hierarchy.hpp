@@ -69,8 +69,8 @@ class HierarchicalCass {
   using HostExpiredFn = std::function<void(const std::string& host)>;
   /// Optional sink for everything that reaches the root (summary beats,
   /// direct leaf beats in tiny pools, telemetry rollups) — normally the
-  /// root AttributeStore. A direct leaf beat arrives under the bare host
-  /// name (member() is true for it); the sink chooses its stored name.
+  /// root AttributeStore. A direct leaf beat arrives under the attribute
+  /// its host published it as (see observe_host).
   using RootWriteFn = std::function<void(const std::string& attribute,
                                          const std::string& value)>;
 
@@ -80,10 +80,13 @@ class HierarchicalCass {
   void on_host_expired(HostExpiredFn fn) { on_host_expired_ = std::move(fn); }
   void set_root_write(RootWriteFn fn) { root_write_ = std::move(fn); }
 
-  /// One beat from `host` (a name passed to build). Routed to the host
-  /// leaf's current parent; lost (counted) if that parent is dead and not
-  /// yet re-parented around.
-  void observe_host(const std::string& host, const std::string& value = "");
+  /// One beat from `host` (a name passed to build), published as
+  /// `attribute` (empty: the host name). Routed to the host leaf's current
+  /// parent; lost (counted) if that parent is dead and not yet re-parented
+  /// around. A beat whose parent is the root reaches the RootWriteFn under
+  /// `attribute`; every monitor keys the lease by host.
+  void observe_host(const std::string& host, const std::string& value = "",
+                    const std::string& attribute = "");
 
   /// One aggregation round: polls every interior aggregator bottom-up
   /// (summaries published upward as they become due), polls the root
@@ -153,6 +156,13 @@ class HierarchicalCass {
   /// the first parse error is returned and the previous set is kept.
   Status set_health_rules(const std::vector<std::string>& rules);
 
+  /// Moves every member host's health engine (and with it its rate
+  /// windows) plus the last fold from a previous tree after a pool
+  /// rebuild, so growth does not restart a rate rule's interval. Call
+  /// after set_health_rules with the rule set `previous` ran: the carried
+  /// engines keep evaluating the rules they were built with.
+  void carry_health_from(HierarchicalCass& previous);
+
   /// The health twin of rollup_telemetry: each host's rules run at its
   /// current interior observer, then only folded severities (worst wins)
   /// travel upward. The root writes one tdp.health.<role>.<host> verdict
@@ -201,7 +211,10 @@ class HierarchicalCass {
   void seed_children(int observer);
   Status route_summary(int from_node, const std::string& attribute,
                        const std::string& value);
-  void root_observe(const std::string& attribute, const std::string& value);
+  /// One beat at the root: the lease is keyed by `name`, the RootWriteFn
+  /// sees it as `attribute`.
+  void root_observe(const std::string& name, const std::string& attribute,
+                    const std::string& value);
   void process_pending();
 
   HierarchyConfig config_;

@@ -14,6 +14,7 @@
 #include "proc/sim_backend.hpp"
 #include "util/clock.hpp"
 #include "util/flightrec.hpp"
+#include "util/health.hpp"
 #include "util/lease.hpp"
 
 namespace tdp::condor {
@@ -447,6 +448,84 @@ TEST(PoolLiveness, RootBeatsLandUnderTheirLivenessName) {
   EXPECT_FALSE(cass.get("cass", "m0").is_ok());
   EXPECT_FALSE(cass.get("cass", "m1").is_ok());
   EXPECT_GE(pool.root_liveness_writes(), 2u);
+}
+
+TEST(PoolCassRebuild, GrowthKeepsHealthRateWindows) {
+  // A rate rule compares each sample with the previous one its host's
+  // engine saw. Pool growth rebuilds the tree; the engines must move into
+  // the new tree, or the first publish after the growth is every host's
+  // first sighting and a requeue burst reads as rate 0 (ok).
+  ManualClock clock;
+  attr::AttributeStore cass;
+  lease::Config lease;
+  lease.ttl_micros = 1'000;
+  lease.grace_micros = 400;
+  lease.beat_interval_micros = 250;
+  SimPool cluster(2, "", [&](PoolConfig& config) {
+    config.enable_liveness = true;
+    config.startd_lease = lease;
+    config.clock = &clock;
+    config.cass_store = &cass;
+    config.restart_policy.restart_budget = 0;  // the dead stay dead
+    config.health_rules = {
+        "requeues: pool.orphan_requeues rate above warn=0.1 critical=1000000"};
+  });
+  Pool& pool = *cluster.pool;
+  const JobId id = pool.submit(sim_job(1'000'000));  // outlives the test
+  for (int turn = 0; turn < 20 && pool.schedd().job(id)->status !=
+                                      JobStatus::kRunning; ++turn) {
+    pool.negotiate();
+    cluster.step_all();
+    pool.pump();
+    clock.advance_micros(lease.beat_interval_micros);
+  }
+  ASSERT_EQ(pool.schedd().job(id)->status, JobStatus::kRunning);
+  ASSERT_GT(pool.publish_health(), 0);  // each engine's first sighting
+  EXPECT_EQ(pool.cass()->last_health_fold(), health::Severity::kOk);
+
+  ASSERT_TRUE(pool.kill_startd(pool.schedd().job(id)->matched_machine).is_ok());
+  for (int turn = 0; turn < 40 && pool.orphan_requeues() == 0; ++turn) {
+    clock.advance_micros(50);
+    pool.pump();
+  }
+  ASSERT_EQ(pool.orphan_requeues(), 1u);
+
+  pool.add_machine("node2", Pool::default_machine_ad("node2"));
+  ASSERT_GT(pool.publish_health(), 0);  // rebuilds the tree over 3 machines
+  ASSERT_TRUE(pool.cass()->member("node2"));
+  EXPECT_EQ(pool.cass()->last_health_fold(), health::Severity::kWarn)
+      << "the rebuild restarted the rate windows";
+  auto fold = cass.get("cass", "tdp.health.startd");
+  ASSERT_TRUE(fold.is_ok());
+  EXPECT_EQ(fold.value(), "warn");
+}
+
+TEST(PoolLiveness, FanoutBelowTwoStillDetectsDeath) {
+  // The overlay rejects a fanout below 2; the pool raises it instead of
+  // running without a liveness tree.
+  ManualClock clock;
+  PoolConfig config;
+  config.use_real_files = false;
+  config.enable_liveness = true;
+  config.cass_fanout = 1;
+  config.clock = &clock;
+  config.restart_policy.restart_budget = 0;
+  Pool pool(std::move(config));
+  for (int i = 0; i < 3; ++i) {
+    const std::string name = "m" + std::to_string(i);
+    pool.add_machine(name, Pool::default_machine_ad(name));
+  }
+  pool.pump();
+  ASSERT_NE(pool.cass(), nullptr);
+  ASSERT_TRUE(pool.kill_startd("m1").is_ok());
+  const lease::Config lease;
+  for (Micros waited = 0;
+       waited <= 2 * (lease.ttl_micros + lease.grace_micros);
+       waited += lease.beat_interval_micros) {
+    clock.advance_micros(lease.beat_interval_micros);
+    pool.pump();
+  }
+  EXPECT_EQ(pool.cass()->host_expiries(), 1u);
 }
 
 TEST_F(PoolPosixTest, SubmitFileDrivesWholePipeline) {
